@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .geo import haversine
 from .ingest import GroundTruth, MeterDataset, TransformerSet
 
@@ -101,9 +101,10 @@ def _lloyd(points, centroids, max_iter, tol):
                 reseeded = True
 
         if not reseeded:
-            assert inertia <= prev_inertia + 1e-12 * (1.0 + abs(prev_inertia)), (
-                "Lloyd inertia increased"
-            )
+            if inertia > prev_inertia + 1e-12 * (1.0 + abs(prev_inertia)):
+                raise NumericalError(
+                    f"Lloyd inertia increased from {prev_inertia!r} to {inertia!r}"
+                )
             if abs(prev_inertia - inertia) <= tol * max(inertia, 1e-300):
                 prev_inertia = inertia
                 break
@@ -123,6 +124,8 @@ def kmeans_pp(
 
     Restart r draws from substream (seed, r), independent of how many
     restarts run, and the winner is chosen by (inertia, restart index).
+    With fewer distinct points than k, the exact solution is returned
+    without iterating: one cluster per distinct point, the others empty.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -131,6 +134,18 @@ def kmeans_pp(
         raise InputError(f"k must satisfy 1 <= k <= N, got k={k}, N={points.shape[0]}")
     if restarts < 1:
         raise InputError("restarts must be positive")
+    if len({row.tobytes() for row in points + 0.0}) < k:  # + 0.0 folds -0.0 into 0.0
+        # one cluster per distinct point is exact (inertia 0) and leaves the
+        # rest empty whatever Lloyd does; it would only reseed them for max_iter
+        distinct, inverse = np.unique(points, axis=0, return_inverse=True)
+        return KMeansResult(
+            labels=inverse.reshape(-1),
+            centroids=np.resize(distinct, (k, points.shape[1])),
+            inertia=0.0,
+            seed=seed,
+            restarts_used=restarts,
+            n_iter=0,
+        )
 
     best = None
     for r in range(restarts):
@@ -193,7 +208,10 @@ def attach_transformers(
     for c in range(k):
         members = out.labels == c
         if not members.any():
-            raise InputError(f"cluster {c} is empty")
+            filled = np.unique(out.labels).size
+            raise NumericalError(
+                f"cluster {c} is empty: the points fill only {filled} of {k} clusters"
+            )
         geo[c] = data.locations[members].mean(axis=0)
     out.centroids_geo = geo
 

@@ -20,6 +20,12 @@ built from a known meter-to-transformer assignment:
 
 When the Ritz interval touches the rest of the spectrum (s <= 0) there is
 no guarantee and the bound is left unevaluated rather than reported false.
+
+The ideal Laplacian of a reference assignment is block-diagonal with
+blocks n_j I - J, so ``certify`` and ``check_assumption`` take its
+spectrum, its action and its bottom eigenvectors in closed form;
+``tangent_bound`` accepts any reference Laplacian and decomposes it. Both
+evaluate the bound through the same routine.
 """
 from __future__ import annotations
 
@@ -28,12 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .graph import SimilarityGraph, ideal_graph, laplacian
+from .graph import SimilarityGraph, laplacian
 from .ingest import GroundTruth
-from .spectral import eigendecompose
+from .spectral import eigendecompose, eigenvalue
 
 ORTHO_TOL = 1e-8
 COS_FLOOR = 1e-15
+SEP_TOL = 1e-10
 
 
 @dataclass
@@ -105,22 +112,118 @@ def canonical_angles(x1: np.ndarray, x1_tilde: np.ndarray) -> CanonicalAngles:
     )
 
 
+def _residual(x_tilde: np.ndarray, lx: np.ndarray):
+    p = x_tilde.T @ lx
+    return lx - x_tilde @ p, p
+
+
 def rayleigh_residual(lap: np.ndarray, x_tilde: np.ndarray):
     """Residual R = L X~ - X~ (X~' L X~) and the Rayleigh quotient itself.
 
     By construction X~' R = 0 (Galerkin orthogonality) up to roundoff.
     """
     x_tilde = _check_frame(x_tilde, "x_tilde")
-    p = x_tilde.T @ lap @ x_tilde
-    r = lap @ x_tilde - x_tilde @ p
-    return r, p
+    return _residual(x_tilde, lap @ x_tilde)
 
 
 def _separation(interval: tuple[float, float], spectrum: np.ndarray) -> float:
     a, b = interval
     if spectrum.size == 0:
         raise InputError("complementary spectrum is empty (k = N?)")
-    return float(np.min(np.maximum.reduce([a - spectrum, spectrum - b, np.zeros_like(spectrum)])))
+    sep = float(np.min(np.maximum.reduce([a - spectrum, spectrum - b, np.zeros_like(spectrum)])))
+    # a gap at roundoff level is none: Ritz values carry roundoff, and where
+    # the ideal spectrum ties at lambda_k (exactly, in closed form) they
+    # could otherwise step past it and report a spurious positive separation
+    return sep if sep > SEP_TOL * max(1.0, float(np.abs(spectrum).max())) else 0.0
+
+
+def _ritz_separation(p: np.ndarray, complement: np.ndarray):
+    """Ritz interval of the Rayleigh quotient p and its separation from
+    the complementary spectrum."""
+    ritz = np.linalg.eigvalsh(0.5 * (p + p.T))
+    interval = (float(ritz[0]), float(ritz[-1]))
+    return interval, _separation(interval, complement)
+
+
+def _ideal_spectrum(sizes: np.ndarray):
+    """Closed-form spectrum of the ideal Laplacian, ascending, and the group
+    each eigenvalue belongs to.
+
+    The ideal Laplacian is block-diagonal with blocks n_j I - J: each
+    nonempty group contributes 0 (its indicator) and n_j repeated n_j - 1
+    times (its mean-zero directions). Ties are ordered by group.
+    """
+    sizes = np.asarray(sizes)
+    extra = np.maximum(sizes - 1, 0)
+    values = np.concatenate([np.zeros(np.count_nonzero(sizes)), np.repeat(sizes, extra)])
+    owner = np.concatenate([np.flatnonzero(sizes), np.repeat(np.arange(sizes.size), extra)])
+    order = np.argsort(values, kind="stable")
+    return values[order].astype(float), owner[order]
+
+
+def _ideal_apply(labels: np.ndarray, sizes: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """L_ideal @ x in O(Nk): n_label(i) x_i minus the sum of x over i's group."""
+    sums = np.zeros((sizes.size, x.shape[1]))
+    np.add.at(sums, labels, x)
+    return sizes[labels][:, None] * x - sums[labels]
+
+
+def _ideal_basis(labels: np.ndarray, owners: np.ndarray) -> np.ndarray:
+    """Orthonormal eigenvectors of the ideal Laplacian, one per entry of
+    ``owners`` (the groups of its bottom eigenvalues, from _ideal_spectrum).
+
+    A group that owns c of them gets the first c columns of a Helmert basis
+    on its meters: the normalized indicator (eigenvalue 0), then contrasts
+    (eigenvalue n_j). When c = n_j these span every meter of the group.
+    """
+    counts = np.bincount(owners)
+    basis = np.zeros((labels.size, owners.size))
+    col = 0
+    for j in np.flatnonzero(counts):
+        members = np.flatnonzero(labels == j)
+        n, c = members.size, counts[j]
+        i = np.arange(n)[:, None]
+        m = np.arange(1, c)[None, :]
+        basis[members, col] = 1.0 / np.sqrt(n)
+        basis[members, col + 1 : col + c] = ((i < m) - m * (i == m)) / np.sqrt(m * (m + 1))
+        col += c
+    return basis
+
+
+def _bound(apply_l, x_tilde: np.ndarray, spectrum: np.ndarray, k: int, reference):
+    """The tan-Theta report for x_tilde against the bottom-k eigenspace of a
+    reference Laplacian given by its action ``apply_l``, its ascending
+    ``spectrum`` and ``reference()``, an orthonormal basis of that eigenspace
+    (built only when the separation is positive)."""
+    x_tilde = _check_frame(x_tilde, "x_tilde")
+    r, p = _residual(x_tilde, apply_l(x_tilde))
+    interval, sep = _ritz_separation(p, spectrum[k:])
+    report = GuaranteeReport(
+        k=k,
+        n=x_tilde.shape[0],
+        ideal_eigenvalues=spectrum,
+        ritz_interval=interval,
+        separation=sep,
+        residual_norm_2=float(np.linalg.norm(r, 2)),
+        residual_norm_fro=float(np.linalg.norm(r)),
+        galerkin_norm=float(np.max(np.abs(x_tilde.T @ r))),
+    )
+    if sep <= 0.0:
+        return report  # no guarantee: interval touches the complementary spectrum
+
+    angles = canonical_angles(reference(), x_tilde)
+    report.tan_norm_2 = angles.tan_norm_2
+    report.tan_norm_fro = angles.tan_norm_fro
+    report.bound_rhs_2 = report.residual_norm_2 / sep
+    report.bound_rhs_fro = report.residual_norm_fro / sep
+    report.bound_holds_2 = report.tan_norm_2 <= report.bound_rhs_2 + 1e-12
+    report.bound_holds_fro = report.tan_norm_fro <= report.bound_rhs_fro + 1e-12
+    return report
+
+
+def _check_k(k: int, n: int) -> None:
+    if not 1 <= k < n:
+        raise InputError(f"k must satisfy 1 <= k < N, got k={k}, N={n}")
 
 
 def check_assumption(real: SimilarityGraph, truth: GroundTruth, k: int) -> tuple[float, bool]:
@@ -131,12 +234,9 @@ def check_assumption(real: SimilarityGraph, truth: GroundTruth, k: int) -> tuple
     which is what the perturbation bound needs to say anything.
     """
     l_real = laplacian(real)
-    n = l_real.shape[0]
-    if not 1 <= k < n:
-        raise InputError(f"k must satisfy 1 <= k < N, got k={k}, N={n}")
-    ideal_eigs = eigendecompose(laplacian(ideal_graph(truth))).eigenvalues
-    real_eigs = eigendecompose(l_real).eigenvalues
-    delta = float(ideal_eigs[k] - real_eigs[k - 1])
+    _check_k(k, l_real.shape[0])
+    ideal, _ = _ideal_spectrum(truth.sizes)
+    delta = float(ideal[k] - eigenvalue(l_real, k - 1))
     return delta, delta > 0.0
 
 
@@ -150,38 +250,12 @@ def tangent_bound(l_ideal: np.ndarray, x_tilde: np.ndarray, k: int) -> Guarantee
     """
     dec = eigendecompose(l_ideal)
     n = l_ideal.shape[0]
-    if not 1 <= k < n:
-        raise InputError(f"k must satisfy 1 <= k < N, got k={k}, N={n}")
-    x_tilde = _check_frame(x_tilde, "x_tilde")
-    if x_tilde.shape != (n, k):
-        raise InputError(f"x_tilde must be {(n, k)}, got {x_tilde.shape}")
-
-    r, p = rayleigh_residual(l_ideal, x_tilde)
-    ritz = np.linalg.eigvalsh(0.5 * (p + p.T))
-    interval = (float(ritz[0]), float(ritz[-1]))
-    sep = _separation(interval, dec.eigenvalues[k:])
-
-    report = GuaranteeReport(
-        k=k,
-        n=n,
-        ideal_eigenvalues=dec.eigenvalues,
-        ritz_interval=interval,
-        separation=sep,
-        residual_norm_2=float(np.linalg.norm(r, 2)),
-        residual_norm_fro=float(np.linalg.norm(r)),
-        galerkin_norm=float(np.max(np.abs(x_tilde.T @ r))),
+    _check_k(k, n)
+    if np.shape(x_tilde) != (n, k):
+        raise InputError(f"x_tilde must be {(n, k)}, got {np.shape(x_tilde)}")
+    return _bound(
+        lambda x: l_ideal @ x, x_tilde, dec.eigenvalues, k, lambda: dec.eigenvectors[:, :k]
     )
-    if sep <= 0.0:
-        return report  # no guarantee: interval touches the complementary spectrum
-
-    angles = canonical_angles(dec.eigenvectors[:, :k], x_tilde)
-    report.tan_norm_2 = angles.tan_norm_2
-    report.tan_norm_fro = angles.tan_norm_fro
-    report.bound_rhs_2 = report.residual_norm_2 / sep
-    report.bound_rhs_fro = report.residual_norm_fro / sep
-    report.bound_holds_2 = report.tan_norm_2 <= report.bound_rhs_2 + 1e-12
-    report.bound_holds_fro = report.tan_norm_fro <= report.bound_rhs_fro + 1e-12
-    return report
 
 
 def eigengap_and_separation(
@@ -194,17 +268,14 @@ def eigengap_and_separation(
     repeated eigenvalue, and a positive separation; otherwise the
     comparison is inapplicable and an error is raised.
     """
-    dec = eigendecompose(l_ideal)
-    w = dec.eigenvalues
-    if not 1 <= k < w.size:
-        raise InputError(f"k must satisfy 1 <= k < N, got k={k}, N={w.size}")
+    w = eigendecompose(l_ideal).eigenvalues
+    _check_k(k, w.size)
     lam = float(w[:k].mean())
     if np.max(np.abs(w[:k] - lam)) > 1e-8 * max(1.0, abs(w).max()):
         raise InputError("bottom k eigenvalues are not a single repeated eigenvalue")
 
-    r, p = rayleigh_residual(l_ideal, x_tilde)
-    ritz = np.linalg.eigvalsh(0.5 * (p + p.T))
-    sep = _separation((float(ritz[0]), float(ritz[-1])), w[k:])
+    _, p = rayleigh_residual(l_ideal, x_tilde)
+    _, sep = _ritz_separation(p, w[k:])
     if sep <= 0.0:
         raise InputError("Ritz interval touches the complementary spectrum; no comparison")
     gap = float(np.min(np.abs(w[k:] - lam)))
@@ -226,18 +297,28 @@ def certify(real: SimilarityGraph, truth: GroundTruth, k: int) -> GuaranteeRepor
     """Full report: assumption gap plus the perturbation bound, one call.
 
     The approximate subspace is the k-dimensional bottom eigenspace of the
-    measured-data Laplacian, compared against the ideal Laplacian built
-    from the reference assignment.
+    measured-data Laplacian, compared against the ideal Laplacian of the
+    reference assignment. That Laplacian is never formed: its spectrum,
+    its action on X~ and its bottom eigenvectors are all closed-form.
     """
     l_real = laplacian(real)
     n = l_real.shape[0]
-    if not 1 <= k < n:
-        raise InputError(f"k must satisfy 1 <= k < N, got k={k}, N={n}")
+    _check_k(k, n)
+    labels, sizes = truth.labels, truth.sizes
+    if labels.shape != (n,):
+        raise InputError(f"ground truth covers {labels.size} meters, the graph {n}")
+    # all N measured eigenvalues are reported, so this solve stays full
     dec_real = eigendecompose(l_real)
-    l_ideal = laplacian(ideal_graph(truth))
+    spectrum, owner = _ideal_spectrum(sizes)
 
-    report = tangent_bound(l_ideal, dec_real.eigenvectors[:, :k], k)
+    report = _bound(
+        lambda x: _ideal_apply(labels, sizes, x),
+        dec_real.eigenvectors[:, :k],
+        spectrum,
+        k,
+        lambda: _ideal_basis(labels, owner[:k]),
+    )
     report.real_eigenvalues = dec_real.eigenvalues
-    report.delta = float(report.ideal_eigenvalues[k] - dec_real.eigenvalues[k - 1])
+    report.delta = float(spectrum[k] - dec_real.eigenvalues[k - 1])
     report.assumption_holds = report.delta > 0.0
     return report

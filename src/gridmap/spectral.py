@@ -5,12 +5,17 @@ Laplacian minimize Tr(H' L H) over orthonormal N x k frames H, so their
 rows are the natural low-dimensional embedding of the meters. Eigenvector
 signs are fixed deterministically: each vector is flipped, if needed, so
 its largest-magnitude entry (lowest index on ties) is positive.
+
+Callers that read only the bottom of the spectrum ask for only that part:
+``embed`` solves for eigenpairs 0..k and ``eigenvalue`` for one value, so
+only ``eigendecompose`` pays for all N eigenpairs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import InputError, NumericalError
 
@@ -37,32 +42,61 @@ def fix_signs(vectors: np.ndarray) -> np.ndarray:
     return v
 
 
-def eigendecompose(matrix: np.ndarray) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix, ascending eigenvalues."""
+def _eigh(matrix, subset=None, vectors=True):
+    """Ascending eigenvalues (and sign-fixed eigenvectors) of a symmetric
+    matrix, for the index range ``subset = (first, last)`` or all of them.
+
+    The full solve uses LAPACK's divide-and-conquer driver, the one
+    ``numpy.linalg.eigh`` calls, so full spectra match it bit for bit; a
+    subset uses the relatively robust representations driver, the only one
+    that stops after the requested eigenpairs.
+    """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError("matrix must be square")
+    if not np.isfinite(a).all():
+        raise NumericalError("matrix has non-finite entries")
     if np.max(np.abs(a - a.T)) > 1e-10 * max(1.0, np.abs(a).max()):
         raise InputError("matrix must be symmetric")
     try:
-        w, v = np.linalg.eigh(a)
+        out = scipy.linalg.eigh(
+            a,
+            eigvals_only=not vectors,
+            subset_by_index=subset,
+            driver="evd" if subset is None else "evr",
+            check_finite=False,
+        )
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+    w, v = out if vectors else (out, None)
     if not np.all(np.isfinite(w)):
         raise NumericalError("eigendecomposition produced non-finite eigenvalues")
-    return EigenDecomposition(eigenvalues=w, eigenvectors=fix_signs(v))
+    return w, None if v is None else fix_signs(v)
+
+
+def eigendecompose(matrix: np.ndarray) -> EigenDecomposition:
+    """Full eigendecomposition of a symmetric matrix, ascending eigenvalues."""
+    w, v = _eigh(matrix)
+    return EigenDecomposition(eigenvalues=w, eigenvectors=v)
+
+
+def eigenvalue(matrix: np.ndarray, index: int) -> float:
+    """The ``index``-th smallest eigenvalue (0-based) of a symmetric matrix."""
+    w, _ = _eigh(matrix, subset=(index, index), vectors=False)
+    return float(w[0])
 
 
 def embed(matrix: np.ndarray, k: int) -> SpectralEmbedding:
-    """Embedding from the k smallest-eigenvalue eigenvectors (signed spectrum)."""
+    """Embedding from the k smallest-eigenvalue eigenvectors (signed spectrum).
+
+    Only eigenpairs 0..k are computed: the k vectors and the (k+1)-th value.
+    """
     n = np.asarray(matrix).shape[0]
     if not 1 <= k < n:
         raise InputError(f"k must satisfy 1 <= k < N, got k={k}, N={n}")
-    dec = eigendecompose(matrix)
+    w, v = _eigh(matrix, subset=(0, k))
     return SpectralEmbedding(
-        X=dec.eigenvectors[:, :k].copy(),
-        eigenvalues=dec.eigenvalues[:k].copy(),
-        next_eigenvalue=float(dec.eigenvalues[k]),
+        X=v[:, :k].copy(), eigenvalues=w[:k].copy(), next_eigenvalue=float(w[k])
     )
 
 

@@ -6,6 +6,7 @@ files written to --out can be checked without spawning subprocesses.
 
 import json
 
+import numpy as np
 import pytest
 
 from gridmap.cli import main
@@ -267,6 +268,16 @@ def test_two_site_rescue_through_the_cli(tmp_path):
     assert acc["base"]["accuracy"] < acc["single"]["accuracy"]
     assert acc["multi"]["accuracy"] == 1.0
     assert acc["multi"]["exact_recovery"] is True
+
+
+def test_fewer_distinct_meters_than_clusters_exits_3(tmp_path, capsys):
+    data, xfmrs, _ = two_site_case(seed=0)
+    data.voltages = np.repeat(data.voltages[[0, 6]], 6, axis=0)   # 2 distinct rows
+    save_dataset(data, tmp_path / "voltages.csv", tmp_path / "locations.csv")
+    save_transformers(xfmrs, tmp_path / "transformers.csv")
+    argv = cluster_args(tmp_path, k=3, method="kmeans-baseline", out=tmp_path / "out")
+    assert main(argv) == 3
+    assert "only 2 of 3 clusters" in capsys.readouterr().err
 
 
 def _validate(out, sigma=None, sub="val"):

@@ -12,7 +12,7 @@ from gridmap.cluster import (
     evaluate,
     kmeans_pp,
 )
-from gridmap.errors import InputError
+from gridmap.errors import InputError, NumericalError
 from gridmap.feeder_sim import generate_profiles, simulate_voltages
 from gridmap.geo import EARTH_RADIUS_KM
 from gridmap.graph import laplacian, voltage_similarity
@@ -106,6 +106,26 @@ def _dataset_at(locs_rad):
         timestamps=["t0", "t1", "t2", "t3"],
         locations=np.asarray(locs_rad, dtype=float),
     )
+
+
+def test_fewer_distinct_points_than_clusters_fails_numerically():
+    # 4 points, 2 distinct, k = 3: the exact solution is returned without
+    # Lloyd iterations, and tying it to transformers fails as numerical
+    # (exit 3), not as bad input
+    pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
+    km = kmeans_pp(pts, 3, seed=0)
+    assert km.n_iter == 0
+    assert km.inertia == 0.0
+    assert np.bincount(km.labels, minlength=3).tolist() == [2, 2, 0]
+    assert km.centroids.shape == (3, 2)
+    lat, lon = math.radians(40.0), math.radians(-105.0)
+    data = _dataset_at([[lat, lon + 0.001 * i] for i in range(4)])
+    xfmrs = TransformerSet(
+        xfmr_ids=["a", "b", "c"],
+        locations=np.array([[lat, lon + 0.001 * j] for j in range(3)]),
+    )
+    with pytest.raises(NumericalError, match="only 2 of 3"):
+        assign_transformers(km, data, xfmrs)
 
 
 def test_cluster_at_transformer_location_takes_it():

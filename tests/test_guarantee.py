@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import scenarios
 from gridmap.errors import InputError
 from gridmap.graph import SimilarityGraph, ideal_graph, laplacian, voltage_similarity
 from gridmap.guarantee import (
+    GuaranteeReport,
     canonical_angles,
     certify,
     check_assumption,
@@ -29,6 +31,20 @@ def symmetric_noise(rng, n, norm2):
 
 def perturbed_subspace(l_ideal, dl, k):
     return embed(l_ideal + dl, k).X
+
+
+def perturbed_ideal_graph(truth, norm2, seed):
+    """The ideal similarity matrix perturbed without leaving [0, 1], scaled
+    so its Laplacian moves by exactly norm2 in the 2-norm."""
+    m_ideal = ideal_graph(truth).matrix
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.0, 1.0, m_ideal.shape)
+    u = 0.5 * (u + u.T)
+    np.fill_diagonal(u, 0.0)
+    signed = np.where(m_ideal > 0.5, -u, u)
+    step = np.diag(signed.sum(axis=1)) - signed      # Laplacian is linear in M
+    eps = norm2 / np.linalg.norm(step, 2)
+    return SimilarityGraph(matrix=m_ideal + eps * signed, sigma=1.0, kind="voltage")
 
 
 def test_identical_subspaces_have_zero_angles():
@@ -143,20 +159,10 @@ def test_assumption_on_ideal_graph():
 
 
 def test_assumption_under_small_graph_perturbation():
-    # perturb the ideal similarity matrix without leaving [0, 1], scaled so
-    # the Laplacian moves by exactly 0.01 in the 2-norm; the measured gap
-    # can then shrink by at most that much
+    # the Laplacian moves by 0.01 in the 2-norm, so the measured gap can
+    # shrink by at most that much
     truth = scenarios.make_truth([4, 5, 6])
-    m_ideal = ideal_graph(truth).matrix
-    rng = np.random.default_rng(11)
-    u = rng.uniform(0.0, 1.0, m_ideal.shape)
-    u = 0.5 * (u + u.T)
-    np.fill_diagonal(u, 0.0)
-    signed = np.where(m_ideal > 0.5, -u, u)
-    step = np.diag(signed.sum(axis=1)) - signed      # Laplacian is linear in M
-    eps = 0.01 / np.linalg.norm(step, 2)
-    g = SimilarityGraph(matrix=m_ideal + eps * signed, sigma=1.0, kind="voltage")
-
+    g = perturbed_ideal_graph(truth, 0.01, seed=11)
     delta, holds = check_assumption(g, truth, 3)
     assert 3.9 < delta < 4.0
     assert holds
@@ -241,3 +247,51 @@ def test_k_bounds_everywhere():
         tangent_bound(laplacian(g), np.eye(4)[:, :1], 0)
     with pytest.raises(InputError):
         certify(g, truth, 4)
+
+
+def dense_certify(g, truth, k):
+    """certify through the decomposed ideal Laplacian, the reference."""
+    dec = eigendecompose(laplacian(g))
+    ref = tangent_bound(laplacian(ideal_graph(truth)), dec.eigenvectors[:, :k], k)
+    ref.real_eigenvalues = dec.eigenvalues
+    ref.delta = float(ref.ideal_eigenvalues[k] - dec.eigenvalues[k - 1])
+    ref.assumption_holds = ref.delta > 0.0
+    return ref
+
+
+def assert_reports_equal(got, ref):
+    for field in dataclasses.fields(GuaranteeReport):
+        a, b = getattr(got, field.name), getattr(ref, field.name)
+        if b is None or isinstance(b, (bool, int)):
+            assert a == b, field.name
+        else:
+            np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-10, err_msg=field.name)
+
+
+def feeder_case():
+    spec = scenarios.three_cluster_spec(noise=0.0, seed=5)
+    data, _, truth = simulate_voltages(spec, generate_profiles(spec))
+    return voltage_similarity(data), truth
+
+
+def perturbed_456_case():
+    truth = scenarios.make_truth([4, 5, 6])
+    return perturbed_ideal_graph(truth, 0.01, seed=11), truth
+
+
+@pytest.mark.parametrize("case, k, bounded", [
+    (feeder_case, 3, True),            # k = truth.k
+    (perturbed_456_case, 3, True),
+    (perturbed_456_case, 6, True),     # k > truth.k, ideal 4 < 5: group 0 whole
+    (perturbed_456_case, 4, False),    # k > truth.k, ideal 4 = 4: no separation
+    (perturbed_456_case, 2, False),    # k < truth.k, ideal 0 = 0: no separation
+])
+def test_closed_form_certificate_equals_the_decomposed_one(case, k, bounded):
+    g, truth = case()
+    report = certify(g, truth, k)
+    assert_reports_equal(report, dense_certify(g, truth, k))
+    assert (report.separation > 0.0) == bounded
+    assert (report.bound_holds_2 is not None) == bounded
+    delta, holds = check_assumption(g, truth, k)
+    assert delta == pytest.approx(report.delta, rel=1e-10, abs=1e-10)
+    assert holds == report.assumption_holds

@@ -3,8 +3,11 @@ import pytest
 
 import scenarios
 from gridmap.errors import InputError, NumericalError
-from gridmap.graph import ideal_graph, laplacian
-from gridmap.spectral import eigendecompose, embed, fix_signs, trace_objective
+from gridmap.feeder_sim import generate_profiles, simulate_voltages
+from gridmap.graph import ideal_graph, laplacian, location_similarity, voltage_similarity
+from gridmap.guarantee import canonical_angles
+from gridmap.multiview import combined_laplacian
+from gridmap.spectral import eigendecompose, eigenvalue, embed, fix_signs, trace_objective
 
 
 def ideal_laplacian(sizes):
@@ -130,3 +133,38 @@ def test_embedding_invariant_to_node_order():
     gram = emb.X @ emb.X.T
     gram_p = emb_p.X @ emb_p.X.T
     assert np.allclose(gram_p, p @ gram @ p.T, atol=1e-10)
+
+
+def assert_embed_matches_full_solve(lap, k):
+    # the partial solve must give the full solve's bottom spectrum and span
+    emb = embed(lap, k)
+    dec = eigendecompose(lap)
+    scale = np.abs(dec.eigenvalues).max()
+    assert np.max(np.abs(emb.eigenvalues - dec.eigenvalues[:k])) <= 1e-12 * scale
+    assert abs(emb.next_eigenvalue - dec.eigenvalues[k]) <= 1e-12 * scale
+    angles = canonical_angles(dec.eigenvectors[:, :k], emb.X)
+    assert np.arcsin(angles.sines.max()) <= 1e-8
+
+
+def test_embed_equals_full_solve_on_a_feeder():
+    spec = scenarios.three_cluster_spec(noise=1e-4, seed=1)
+    data, _, _ = simulate_voltages(spec, generate_profiles(spec))
+    assert_embed_matches_full_solve(laplacian(voltage_similarity(data)), 3)
+
+
+def test_embed_equals_full_solve_on_an_indefinite_multiview_matrix():
+    data, _, _ = scenarios.two_site_case(seed=0)
+    l_v = laplacian(voltage_similarity(data, sigma=scenarios.TWO_SITE_SIGMA))
+    h_l = embed(laplacian(location_similarity(data)), 2).X
+    combined = combined_laplacian(l_v, h_l, 0.5)
+    assert eigendecompose(combined).eigenvalues[0] < 0.0
+    assert_embed_matches_full_solve(combined, 2)
+
+
+def test_eigenvalue_picks_one_of_the_full_spectrum():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((12, 12))
+    sym = (a + a.T) / 2.0
+    full = eigendecompose(sym).eigenvalues
+    for i in (0, 5, 11):
+        assert eigenvalue(sym, i) == pytest.approx(full[i], abs=1e-12 * np.abs(full).max())
