@@ -33,6 +33,7 @@ from .graph import (
     median_pairwise,
     voltage_similarity,
 )
+from .cli import recover
 from .guarantee import (
     CanonicalAngles,
     GuaranteeReport,

@@ -26,10 +26,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cluster import assign_transformers, attach_transformers, evaluate, kmeans_pp
+# attach_transformers stays imported: perfbench/tracing.py wraps it on this module
+from .cluster import MappingResult, assign_transformers, attach_transformers, evaluate, kmeans_pp
 from .errors import InputError, NumericalError
 from .feeder_sim import FeederSpec, generate_profiles, simulate_voltages
-from .graph import laplacian, location_similarity, voltage_similarity
+from .graph import AUTO, laplacian, location_similarity, voltage_similarity
 from .guarantee import certify
 from .ingest import (
     load_dataset,
@@ -75,6 +76,27 @@ def _noise_grid(text: str) -> list[float]:
     return grid
 
 
+def _config_value(action: argparse.Action, value):
+    """A config file value, checked and converted as its flag's text is.
+
+    Counts take JSON integers, other numbers any JSON number, kernel widths
+    a number or "auto", and every other option a string.
+    """
+    expected = {int: (int,), float: (int, float), _sigma_arg: (int, float, str)}
+    types = expected.get(action.type, (str,))
+    if isinstance(value, bool) or not isinstance(value, types):
+        names = " or ".join(t.__name__ for t in types)
+        raise InputError(f"config {action.dest}: expected {names}, got {value!r}")
+    try:
+        value = action.type(value) if action.type else value
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise InputError(f"config {action.dest}: {exc}") from exc
+    if action.choices is not None and value not in action.choices:
+        raise InputError(f"config {action.dest}: expected one of {list(action.choices)}, "
+                         f"got {value!r}")
+    return value
+
+
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     """Apply option precedence: flags > config file > env seed > defaults."""
     config = {}
@@ -86,9 +108,10 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
             raise InputError(f"cannot parse config {args.config}: {exc}") from exc
         if not isinstance(config, dict):
             raise InputError(f"config {args.config} must be a JSON object")
+    options = {action.dest: action for action in args.options}
     for key, value in vars(args).items():
-        if value is None and key in config:
-            setattr(args, key, config[key])
+        if value is None and config.get(key) is not None:
+            setattr(args, key, _config_value(options[key], config[key]))
     for key, value in DEFAULTS.items():
         if getattr(args, key, "sentinel") is None:
             setattr(args, key, value)
@@ -144,6 +167,37 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def recover(
+    data, xfmrs, k, method="spectral", sigma=AUTO, seed=0, restarts=10,
+    sigma_l=AUTO, geo_metric="haversine", cfg=None,
+):
+    """Recover the meter-to-transformer mapping of one dataset.
+
+    ``spectral`` clusters the bottom-k Laplacian eigenvectors of the voltage
+    similarity graph, ``multiview`` co-regularizes them with the location
+    graph's (``cfg``, default MultiViewConfig()), and ``kmeans-baseline``
+    clusters the raw voltage rows. Every method ends in k-means++ and the
+    geographic match of clusters to transformers. Returns the mapping, the
+    embedding and the voltage graph; the baseline builds neither (None).
+    """
+    g_v = emb = None
+    if method == "kmeans-baseline":
+        km = kmeans_pp(data.voltages, k, seed=seed, restarts=restarts)
+    elif method == "spectral":
+        g_v = voltage_similarity(data, sigma=sigma)
+        emb = embed(laplacian(g_v), k)
+        km = kmeans_pp(emb.X, k, seed=seed, restarts=restarts)
+    elif method == "multiview":
+        g_v = voltage_similarity(data, sigma=sigma)
+        g_l = location_similarity(data, sigma=sigma_l, metric=geo_metric)
+        emb, km, _ = solve_multiview(
+            g_v, g_l, k, cfg or MultiViewConfig(), seed=seed, restarts=restarts
+        )
+    else:
+        raise InputError(f"unknown method {method!r}")
+    return assign_transformers(km, data, xfmrs), emb, g_v
+
+
 def cmd_cluster(args) -> int:
     data = load_dataset(args.voltages, args.locations)
     xfmrs = load_transformers(args.transformers) if args.transformers else None
@@ -152,37 +206,21 @@ def cmd_cluster(args) -> int:
     if args.k < 1:
         raise InputError("k must be positive")
 
-    g_v = None
-    if args.method in ("spectral", "multiview") or args.dump_similarity:
-        g_v = voltage_similarity(data, sigma=args.sigma)
-
-    emb = None
-    if args.method == "spectral":
-        emb = embed(laplacian(g_v), args.k)
-        km = kmeans_pp(emb.X, args.k, seed=args.seed, restarts=args.restarts)
-        mapping = assign_transformers(km, data, xfmrs, method="spectral")
-    elif args.method == "kmeans-baseline":
-        km = kmeans_pp(data.voltages, args.k, seed=args.seed, restarts=args.restarts)
-        mapping = assign_transformers(km, data, xfmrs, method="kmeans-baseline")
-    elif args.method == "multiview":
-        if data.locations is None:
-            raise InputError("multiview clustering needs --locations")
-        g_l = location_similarity(data, sigma=args.sigma_l, metric=args.geo_metric)
-        cfg = MultiViewConfig(
+    mapping, emb, g_v = recover(
+        data, xfmrs, args.k, method=args.method, sigma=args.sigma, seed=args.seed,
+        restarts=args.restarts, sigma_l=args.sigma_l, geo_metric=args.geo_metric,
+        cfg=MultiViewConfig(
             lambda_reg=args.lambda_reg,
             max_outer_iters=args.max_iters,
             tol=args.tol,
             final_view=args.final_view,
-        )
-        emb, mapping, _ = solve_multiview(
-            g_v, g_l, args.k, cfg, seed=args.seed, restarts=args.restarts
-        )
-        mapping = attach_transformers(mapping, data, xfmrs)
-    else:
-        raise InputError(f"unknown method {args.method!r}")
+        ),
+    )
 
     os.makedirs(args.out, exist_ok=True)
     if args.dump_similarity:
+        if g_v is None:  # the raw-voltage baseline builds no graph
+            g_v = voltage_similarity(data, sigma=args.sigma)
         _write_matrix_csv(args.dump_similarity, data.meter_ids, "meter_id", g_v.matrix)
     if args.dump_embedding:
         if emb is None:
@@ -257,8 +295,6 @@ def cmd_evaluate(args) -> int:
 
 
 def _load_mapping(path):
-    from .cluster import MappingResult
-
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -270,16 +306,10 @@ def _load_mapping(path):
         labels = np.array([int(meters[m]["cluster"]) for m in ids])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path} is not a mapping file: {exc}") from exc
-    k = int(doc.get("k", labels.max() + 1))
     result = MappingResult(
         labels=labels,
         meter_ids=ids,
-        k=k,
-        method=doc.get("method", "unknown"),
-        seed=int(doc.get("seed", 0)),
-        inertia=float("nan"),
-        restarts_used=0,
-        centroids_embedding=np.empty((k, 0)),
+        k=int(doc.get("k", labels.max() + 1)),
         mapping={m: meters[m].get("transformer") for m in ids},
     )
     return result, doc
@@ -300,9 +330,9 @@ def cmd_sweep(args) -> int:
                 base, noise_std_pu=noise, seed=base.seed + trial
             )
             data, xfmrs, truth = simulate_voltages(spec, generate_profiles(spec))
-            emb = embed(laplacian(voltage_similarity(data, sigma=args.sigma)), spec.k)
-            km = kmeans_pp(emb.X, spec.k, seed=spec.seed, restarts=args.restarts)
-            mapping = assign_transformers(km, data, xfmrs, method="spectral")
+            mapping, _, _ = recover(
+                data, xfmrs, spec.k, sigma=args.sigma, seed=spec.seed, restarts=args.restarts
+            )
             report = evaluate(mapping, truth)
             accs.append(report.accuracy)
             exact += report.exact_recovery
@@ -331,6 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat JSON file with option defaults")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory (default: .)")
+        p.set_defaults(options=p._actions)  # config values go through the same actions
 
     p = sub.add_parser("simulate", help="generate a synthetic feeder dataset")
     p.add_argument("--spec", required=True, help="feeder spec JSON")

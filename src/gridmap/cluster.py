@@ -35,11 +35,6 @@ class MappingResult:
     labels: np.ndarray
     meter_ids: list[str]
     k: int
-    method: str
-    seed: int
-    inertia: float
-    restarts_used: int
-    centroids_embedding: np.ndarray
     centroids_geo: np.ndarray | None = None        # (k, 2) radians
     assignment: dict[int, str] | None = None       # cluster -> xfmr_id
     mapping: dict[str, str] | None = None          # meter_id -> xfmr_id
@@ -170,7 +165,6 @@ def assign_transformers(
     result: KMeansResult,
     data: MeterDataset,
     xfmrs: TransformerSet | None,
-    method: str = "spectral",
 ) -> MappingResult:
     """Tie clusters to transformers by geographic proximity.
 
@@ -182,14 +176,7 @@ def assign_transformers(
     a transformer file) the labels are returned with no assignment.
     """
     out = MappingResult(
-        labels=result.labels,
-        meter_ids=list(data.meter_ids),
-        k=result.centroids.shape[0],
-        method=method,
-        seed=result.seed,
-        inertia=result.inertia,
-        restarts_used=result.restarts_used,
-        centroids_embedding=result.centroids,
+        labels=result.labels, meter_ids=list(data.meter_ids), k=result.centroids.shape[0]
     )
     return attach_transformers(out, data, xfmrs)
 
@@ -199,8 +186,6 @@ def attach_transformers(
 ) -> MappingResult:
     """Fill the geographic half of a MappingResult in place (and return it)."""
     k = out.k
-    if not out.meter_ids:
-        out.meter_ids = list(data.meter_ids)
     if data.locations is None or xfmrs is None:
         return out
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InputError
+
 EARTH_RADIUS_KM = 6371.0
 
 GEO_METRICS = ("haversine", "euclidean-angle")
@@ -59,5 +61,5 @@ def pairwise_geo(points, metric="haversine"):
     elif metric == "euclidean-angle":
         fn = euclidean_angle
     else:
-        raise ValueError(f"unknown geo metric: {metric!r}")
+        raise InputError(f"unknown geo metric: {metric!r}")
     return fn(points[:, None, :], points[None, :, :])

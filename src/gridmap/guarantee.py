@@ -137,14 +137,6 @@ def _separation(interval: tuple[float, float], spectrum: np.ndarray) -> float:
     return sep if sep > SEP_TOL * max(1.0, float(np.abs(spectrum).max())) else 0.0
 
 
-def _ritz_separation(p: np.ndarray, complement: np.ndarray):
-    """Ritz interval of the Rayleigh quotient p and its separation from
-    the complementary spectrum."""
-    ritz = np.linalg.eigvalsh(0.5 * (p + p.T))
-    interval = (float(ritz[0]), float(ritz[-1]))
-    return interval, _separation(interval, complement)
-
-
 def _ideal_spectrum(sizes: np.ndarray):
     """Closed-form spectrum of the ideal Laplacian, ascending, and the group
     each eigenvalue belongs to.
@@ -197,7 +189,9 @@ def _bound(apply_l, x_tilde: np.ndarray, spectrum: np.ndarray, k: int, reference
     (built only when the separation is positive)."""
     x_tilde = _check_frame(x_tilde, "x_tilde")
     r, p = _residual(x_tilde, apply_l(x_tilde))
-    interval, sep = _ritz_separation(p, spectrum[k:])
+    ritz = np.linalg.eigvalsh(0.5 * (p + p.T))  # of the Rayleigh quotient
+    interval = (float(ritz[0]), float(ritz[-1]))
+    sep = _separation(interval, spectrum[k:])
     report = GuaranteeReport(
         k=k,
         n=x_tilde.shape[0],
@@ -221,9 +215,11 @@ def _bound(apply_l, x_tilde: np.ndarray, spectrum: np.ndarray, k: int, reference
     return report
 
 
-def _check_k(k: int, n: int) -> None:
+def _check_sizes(k: int, n: int, truth: GroundTruth | None = None) -> None:
     if not 1 <= k < n:
         raise InputError(f"k must satisfy 1 <= k < N, got k={k}, N={n}")
+    if truth is not None and truth.labels.shape != (n,):
+        raise InputError(f"ground truth covers {truth.labels.size} meters, the graph {n}")
 
 
 def check_assumption(real: SimilarityGraph, truth: GroundTruth, k: int) -> tuple[float, bool]:
@@ -234,7 +230,7 @@ def check_assumption(real: SimilarityGraph, truth: GroundTruth, k: int) -> tuple
     which is what the perturbation bound needs to say anything.
     """
     l_real = laplacian(real)
-    _check_k(k, l_real.shape[0])
+    _check_sizes(k, l_real.shape[0], truth)
     ideal, _ = _ideal_spectrum(truth.sizes)
     delta = float(ideal[k] - eigenvalue(l_real, k - 1))
     return delta, delta > 0.0
@@ -250,7 +246,7 @@ def tangent_bound(l_ideal: np.ndarray, x_tilde: np.ndarray, k: int) -> Guarantee
     """
     dec = eigendecompose(l_ideal)
     n = l_ideal.shape[0]
-    _check_k(k, n)
+    _check_sizes(k, n)
     if np.shape(x_tilde) != (n, k):
         raise InputError(f"x_tilde must be {(n, k)}, got {np.shape(x_tilde)}")
     return _bound(
@@ -262,24 +258,21 @@ def eigengap_and_separation(
     l_ideal: np.ndarray, x_tilde: np.ndarray, k: int
 ) -> tuple[float, float]:
     """(distance from the invariant eigenvalue to the rest of the ideal
-    spectrum, separation of the Ritz interval from that spectrum).
+    spectrum, separation of the Ritz interval from that spectrum), both read
+    from one ``tangent_bound`` report.
 
     Requires the bottom k ideal eigenvalues to be (numerically) one
     repeated eigenvalue, and a positive separation; otherwise the
     comparison is inapplicable and an error is raised.
     """
-    w = eigendecompose(l_ideal).eigenvalues
-    _check_k(k, w.size)
+    report = tangent_bound(l_ideal, x_tilde, k)
+    w = report.ideal_eigenvalues
     lam = float(w[:k].mean())
     if np.max(np.abs(w[:k] - lam)) > 1e-8 * max(1.0, abs(w).max()):
         raise InputError("bottom k eigenvalues are not a single repeated eigenvalue")
-
-    _, p = rayleigh_residual(l_ideal, x_tilde)
-    _, sep = _ritz_separation(p, w[k:])
-    if sep <= 0.0:
+    if report.separation <= 0.0:
         raise InputError("Ritz interval touches the complementary spectrum; no comparison")
-    gap = float(np.min(np.abs(w[k:] - lam)))
-    return gap, sep
+    return float(np.min(np.abs(w[k:] - lam))), report.separation
 
 
 def verify_eigengap_dominance(l_ideal: np.ndarray, x_tilde: np.ndarray, k: int) -> bool:
@@ -302,11 +295,8 @@ def certify(real: SimilarityGraph, truth: GroundTruth, k: int) -> GuaranteeRepor
     its action on X~ and its bottom eigenvectors are all closed-form.
     """
     l_real = laplacian(real)
-    n = l_real.shape[0]
-    _check_k(k, n)
+    _check_sizes(k, l_real.shape[0], truth)
     labels, sizes = truth.labels, truth.sizes
-    if labels.shape != (n,):
-        raise InputError(f"ground truth covers {labels.size} meters, the graph {n}")
     # all N measured eigenvalues are reported, so this solve stays full
     dec_real = eigendecompose(l_real)
     spectrum, owner = _ideal_spectrum(sizes)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import MappingResult, kmeans_pp
+from .cluster import KMeansResult, kmeans_pp
 from .errors import InputError
 from .graph import SimilarityGraph, laplacian
 from .spectral import SpectralEmbedding, embed
@@ -78,15 +78,15 @@ def solve_multiview(
     cfg: MultiViewConfig,
     seed: int,
     restarts: int = 10,
-) -> tuple[SpectralEmbedding, MappingResult, MultiViewState]:
+) -> tuple[SpectralEmbedding, KMeansResult, MultiViewState]:
     """Alternating minimization of the co-regularized objective.
 
     Initializes both embeddings from their single-view Laplacians, then
     updates voltage first and location second each outer iteration, until
     the relative objective change drops below cfg.tol or the iteration cap
     is hit (then the best iterate is returned and a warning is issued).
-    Returns the final-view embedding, label-only mapping (no transformer
-    attachment here), and the iteration record.
+    Returns the final-view embedding, the k-means++ result on its rows,
+    and the iteration record.
     """
     cfg.validate()
     l_v = laplacian(g_v)
@@ -143,15 +143,4 @@ def solve_multiview(
             next_eigenvalue=0.5 * (emb_v.next_eigenvalue + emb_l.next_eigenvalue),
         )
 
-    km = kmeans_pp(points, k, seed=seed, restarts=restarts)
-    mapping = MappingResult(
-        labels=km.labels,
-        meter_ids=[],
-        k=k,
-        method="multiview",
-        seed=seed,
-        inertia=km.inertia,
-        restarts_used=km.restarts_used,
-        centroids_embedding=km.centroids,
-    )
-    return final_emb, mapping, state
+    return final_emb, kmeans_pp(points, k, seed=seed, restarts=restarts), state

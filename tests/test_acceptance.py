@@ -11,23 +11,18 @@ import time
 
 import numpy as np
 
-from gridmap.cli import main
-from gridmap.cluster import assign_transformers, attach_transformers, evaluate, kmeans_pp
+from gridmap.cli import main, recover
+from gridmap.cluster import evaluate, kmeans_pp
 from gridmap.feeder_sim import generate_profiles, simulate_voltages
 from gridmap.geo import EARTH_RADIUS_KM, euclidean_angle, haversine
-from gridmap.graph import (
-    ideal_graph,
-    laplacian,
-    location_similarity,
-    voltage_similarity,
-)
+from gridmap.graph import ideal_graph, laplacian, voltage_similarity
 from gridmap.guarantee import (
     check_assumption,
     eigengap_and_separation,
     tangent_bound,
     verify_eigengap_dominance,
 )
-from gridmap.multiview import MultiViewConfig, solve_multiview
+from gridmap.multiview import MultiViewConfig
 from gridmap.spectral import eigendecompose, embed
 
 import scenarios
@@ -236,9 +231,7 @@ def test_criterion_08_noise_robustness_curve():
         for trial in range(100):
             spec = dataclasses.replace(base, noise_std_pu=noise, seed=base.seed + trial)
             data, xfmrs, truth = simulate(spec)
-            emb = embed(laplacian(voltage_similarity(data)), spec.k)
-            km = kmeans_pp(emb.X, spec.k, seed=spec.seed, restarts=10)
-            mapping = assign_transformers(km, data, xfmrs)
+            mapping, _, _ = recover(data, xfmrs, spec.k, seed=spec.seed)
             exact += evaluate(mapping, truth).exact_recovery
         rates.append(exact / 100)
     elapsed = time.perf_counter() - t0
@@ -258,23 +251,16 @@ def test_criterion_08_noise_robustness_curve():
 @functools.lru_cache(maxsize=1)
 def two_site_accuracies():
     """(single-view, multiview, raw-baseline) accuracy per seed."""
+    cfg = MultiViewConfig(lambda_reg=0.5)
     out = []
     for seed in range(20):
         data, xfmrs, truth = two_site_case(seed)
-        g_v = voltage_similarity(data, sigma=TWO_SITE_SIGMA)
-
-        km = kmeans_pp(embed(laplacian(g_v), 2).X, 2, seed=seed)
-        single = evaluate(assign_transformers(km, data, xfmrs), truth).accuracy
-
-        g_l = location_similarity(data)
-        cfg = MultiViewConfig(lambda_reg=0.5)
-        _, mapping, _ = solve_multiview(g_v, g_l, 2, cfg, seed=seed)
-        mapping = attach_transformers(mapping, data, xfmrs)
-        multi = evaluate(mapping, truth).accuracy
-
-        km = kmeans_pp(data.voltages, 2, seed=seed)
-        base = evaluate(assign_transformers(km, data, xfmrs), truth).accuracy
-        out.append((single, multi, base))
+        single, _, _ = recover(data, xfmrs, 2, sigma=TWO_SITE_SIGMA, seed=seed)
+        multi, _, _ = recover(
+            data, xfmrs, 2, "multiview", sigma=TWO_SITE_SIGMA, seed=seed, cfg=cfg
+        )
+        base, _, _ = recover(data, xfmrs, 2, "kmeans-baseline", seed=seed)
+        out.append(tuple(evaluate(m, truth).accuracy for m in (single, multi, base)))
     return out
 
 

@@ -181,6 +181,27 @@ def test_bad_config_exits_2(tmp_path, text):
     assert main(cluster_args(out, k=2, config=cfg)) == 2
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"geo_metric": "bogus", "method": "multiview"},
+        {"sigma": "abc"},
+        {"restarts": "x"},
+        {"lambda_reg": "x", "method": "multiview"},
+        {"k": "2"},
+    ],
+    ids=["geo-metric", "sigma", "restarts", "lambda", "k-as-text"],
+)
+def test_bad_config_values_exit_2(tmp_path, capsys, config):
+    out = simulate(tmp_path, two_cluster_spec(0.0, seed=0))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    k = None if "k" in config else 2
+    assert main(cluster_args(out, k=k, config=cfg, out=tmp_path / "o")) == 2
+    assert "gridmap: error: config" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "mapping.json").exists()
+
+
 def test_seed_comes_from_the_environment(tmp_path, monkeypatch):
     out = simulate(tmp_path, two_cluster_spec(0.0, seed=2))
     monkeypatch.setenv("GRIDMAP_SEED", "7")
@@ -215,6 +236,18 @@ def test_dump_similarity_and_embedding(tmp_path):
     emb_lines = emb_csv.read_text().splitlines()
     assert emb_lines[0] == "meter_id,c0,c1"
     assert len(emb_lines) == 11
+
+
+def test_baseline_dumps_the_graph_it_does_not_cluster(tmp_path):
+    out = simulate(tmp_path, two_cluster_spec(0.0, seed=6))
+    for method in ("kmeans-baseline", "spectral"):
+        assert main(cluster_args(
+            out, k=2, method=method, out=tmp_path / method,
+            dump_similarity=tmp_path / f"{method}.csv",
+        )) == 0
+    sim = (tmp_path / "kmeans-baseline.csv").read_text()
+    assert len(sim.splitlines()) == 11
+    assert sim == (tmp_path / "spectral.csv").read_text()
 
 
 def test_baseline_has_no_embedding_to_dump(tmp_path):

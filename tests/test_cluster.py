@@ -8,7 +8,6 @@ import scenarios
 from gridmap.cluster import (
     MappingResult,
     assign_transformers,
-    attach_transformers,
     evaluate,
     kmeans_pp,
 )
@@ -214,16 +213,7 @@ def test_more_clusters_than_transformers_warns_and_shares():
 
 def _pred(labels, meter_ids, k):
     labels = np.asarray(labels)
-    return MappingResult(
-        labels=labels,
-        meter_ids=list(meter_ids),
-        k=k,
-        method="test",
-        seed=0,
-        inertia=0.0,
-        restarts_used=1,
-        centroids_embedding=np.zeros((k, 1)),
-    )
+    return MappingResult(labels=labels, meter_ids=list(meter_ids), k=k)
 
 
 def test_evaluate_exact_match():
@@ -265,9 +255,3 @@ def test_evaluate_meter_set_mismatch():
     with pytest.raises(InputError, match="different meters"):
         evaluate(_pred([0, 0, 1, 1], ["z0", "z1", "z2", "z3"], 2), truth)
 
-
-def test_attach_fills_meter_ids():
-    data = _dataset_at([[0.0, 0.0], [0.0, 1e-5]])
-    out = _pred([0, 1], [], 2)
-    out = attach_transformers(out, data, None)
-    assert out.meter_ids == ["m0", "m1"]

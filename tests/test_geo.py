@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gridmap.errors import InputError
 from gridmap.geo import (
     EARTH_RADIUS_KM,
     euclidean_angle,
@@ -100,5 +101,5 @@ def test_pairwise_geo_matches_direct_loop():
 
 def test_pairwise_geo_rejects_unknown_metric():
     pts = np.zeros((3, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="unknown geo metric"):
         pairwise_geo(pts, metric="manhattan")

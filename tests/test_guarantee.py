@@ -249,6 +249,14 @@ def test_k_bounds_everywhere():
         certify(g, truth, 4)
 
 
+def test_ground_truth_must_cover_the_graph():
+    g = ideal_graph(scenarios.make_truth([2, 2]))
+    truth = scenarios.make_truth([3, 3])
+    for check in (check_assumption, certify):
+        with pytest.raises(InputError, match="covers 6 meters, the graph 4"):
+            check(g, truth, 2)
+
+
 def dense_certify(g, truth, k):
     """certify through the decomposed ideal Laplacian, the reference."""
     dec = eigendecompose(laplacian(g))

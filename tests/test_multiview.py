@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import scenarios
-from gridmap.cluster import attach_transformers, evaluate, kmeans_pp
+from gridmap.cluster import assign_transformers, evaluate, kmeans_pp
 from gridmap.errors import InputError
 from gridmap.feeder_sim import generate_profiles, simulate_voltages
 from gridmap.graph import SimilarityGraph, ideal_graph, laplacian, location_similarity, voltage_similarity
@@ -78,22 +78,22 @@ def _two_site_graphs(seed):
 def test_identical_views_reduce_to_single_view():
     data, _, truth, g_v, _ = _two_site_graphs(0)
     cfg = MultiViewConfig(lambda_reg=0.5)
-    emb, mapping, state = solve_multiview(g_v, g_v, truth.k, cfg, seed=0)
+    emb, km, state = solve_multiview(g_v, g_v, truth.k, cfg, seed=0)
     assert state.converged
     # after the first update both embeddings span the same subspace, so the
     # coupling term sits pinned at -k
     coupling = disagreement(state.H_v, state.H_l)
     assert coupling == pytest.approx(-truth.k, abs=1e-8)
     single = kmeans_pp(embed(laplacian(g_v), truth.k).X, truth.k, seed=0)
-    assert same_partition(mapping.labels, single.labels)
+    assert same_partition(km.labels, single.labels)
 
 
 def test_zero_coupling_reduces_to_single_view():
     data, _, truth, g_v, g_l = _two_site_graphs(1)
     cfg = MultiViewConfig(lambda_reg=0.0)
-    emb, mapping, state = solve_multiview(g_v, g_l, truth.k, cfg, seed=1)
+    emb, km, state = solve_multiview(g_v, g_l, truth.k, cfg, seed=1)
     single = kmeans_pp(embed(laplacian(g_v), truth.k).X, truth.k, seed=1)
-    assert same_partition(mapping.labels, single.labels)
+    assert same_partition(km.labels, single.labels)
     assert state.converged
     assert state.n_iters == 1
 
@@ -115,8 +115,8 @@ def test_location_view_rescues_the_bridge_meter():
     assert not same_partition(single.labels, truth.labels)
 
     cfg = MultiViewConfig(lambda_reg=0.5)
-    _, mapping, _ = solve_multiview(g_v, g_l, truth.k, cfg, seed=0)
-    mapping = attach_transformers(mapping, data, xfmrs)
+    _, km, _ = solve_multiview(g_v, g_l, truth.k, cfg, seed=0)
+    mapping = assign_transformers(km, data, xfmrs)
     report = evaluate(mapping, truth)
     assert report.exact_recovery
     assert mapping.mapping == truth.mapping
@@ -129,19 +129,13 @@ def test_feeder_with_matched_impedances_needs_both_views():
     data, xfmrs, truth = simulate_voltages(spec, generate_profiles(spec))
     g_v = voltage_similarity(data)
     single = kmeans_pp(embed(laplacian(g_v), spec.k).X, spec.k, seed=0)
-    single_acc = evaluate(
-        attach_transformers(
-            _as_mapping(single, data), data, xfmrs
-        ),
-        truth,
-    ).accuracy
+    single_acc = evaluate(assign_transformers(single, data, xfmrs), truth).accuracy
     assert single_acc < 1.0
 
     g_l = location_similarity(data)
     cfg = MultiViewConfig(lambda_reg=0.5)
-    _, mapping, state = solve_multiview(g_v, g_l, spec.k, cfg, seed=0)
-    mapping = attach_transformers(mapping, data, xfmrs)
-    report = evaluate(mapping, truth)
+    _, km, state = solve_multiview(g_v, g_l, spec.k, cfg, seed=0)
+    report = evaluate(assign_transformers(km, data, xfmrs), truth)
     assert report.exact_recovery
 
     trace = np.asarray(state.objective_trace)
@@ -149,29 +143,14 @@ def test_feeder_with_matched_impedances_needs_both_views():
     assert np.all(np.diff(trace) <= slack)
 
 
-def _as_mapping(km, data):
-    from gridmap.cluster import MappingResult
-
-    return MappingResult(
-        labels=km.labels,
-        meter_ids=list(data.meter_ids),
-        k=km.centroids.shape[0],
-        method="spectral",
-        seed=km.seed,
-        inertia=km.inertia,
-        restarts_used=km.restarts_used,
-        centroids_embedding=km.centroids,
-    )
-
-
 def test_final_view_variants_run():
     _, _, truth, g_v, g_l = _two_site_graphs(2)
     for view in ("voltage", "location", "average"):
         cfg = MultiViewConfig(lambda_reg=0.5, final_view=view)
-        emb, mapping, _ = solve_multiview(g_v, g_l, truth.k, cfg, seed=2)
+        emb, km, _ = solve_multiview(g_v, g_l, truth.k, cfg, seed=2)
         assert emb.X.shape == (truth.labels.size, truth.k)
-        assert mapping.labels.shape == (truth.labels.size,)
-        assert mapping.method == "multiview"
+        assert km.labels.shape == (truth.labels.size,)
+        assert km.centroids.shape == (truth.k, truth.k)
 
 
 def test_iteration_cap_warns_and_returns_best():
