@@ -33,7 +33,6 @@ from .graph import (
     median_pairwise,
     voltage_similarity,
 )
-from .cli import recover
 from .guarantee import (
     CanonicalAngles,
     GuaranteeReport,
@@ -73,4 +72,13 @@ from .spectral import (
     trace_objective,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_")] + ["recover"]
+
+
+def __getattr__(name):
+    # recover lives in gridmap.cli; importing it only on first use keeps
+    # ``python -m gridmap.cli`` from finding that module already imported
+    if name == "recover":
+        from .cli import recover
+        return recover
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

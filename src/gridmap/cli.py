@@ -121,6 +121,8 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
             args.seed = int(env) if env is not None else 0
         except ValueError:
             raise InputError(f"GRIDMAP_SEED must be an integer, got {env!r}")
+    if getattr(args, "seed", 0) < 0:
+        raise InputError(f"seed must be non-negative, got {args.seed}")
     return args
 
 

@@ -19,14 +19,15 @@ from .errors import InputError, NumericalError
 from .geo import haversine
 from .ingest import GroundTruth, MeterDataset, TransformerSet
 
+MAX_ITER = 300      # Lloyd iterations per restart
+TOL = 1e-9          # relative inertia change that ends Lloyd
+
 
 @dataclass
 class KMeansResult:
     labels: np.ndarray          # (N,)
     centroids: np.ndarray       # (k, dim)
     inertia: float
-    seed: int
-    restarts_used: int
     n_iter: int                 # Lloyd iterations of the selected restart
 
 
@@ -69,12 +70,12 @@ def _plusplus_seed(points: np.ndarray, k: int, rng) -> np.ndarray:
     return centroids
 
 
-def _lloyd(points, centroids, max_iter, tol):
+def _lloyd(points, centroids):
     n, k = points.shape[0], centroids.shape[0]
     prev_inertia = np.inf
     labels = np.zeros(n, dtype=int)
     n_iter = 0
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, MAX_ITER + 1):
         sq = (
             np.einsum("ij,ij->i", points, points)[:, None]
             - 2.0 * points @ centroids.T
@@ -100,7 +101,7 @@ def _lloyd(points, centroids, max_iter, tol):
                 raise NumericalError(
                     f"Lloyd inertia increased from {prev_inertia!r} to {inertia!r}"
                 )
-            if abs(prev_inertia - inertia) <= tol * max(inertia, 1e-300):
+            if abs(prev_inertia - inertia) <= TOL * max(inertia, 1e-300):
                 prev_inertia = inertia
                 break
         prev_inertia = inertia
@@ -112,8 +113,6 @@ def kmeans_pp(
     k: int,
     seed: int,
     restarts: int = 10,
-    max_iter: int = 300,
-    tol: float = 1e-9,
 ) -> KMeansResult:
     """k-means++ (D^2 seeding plus Lloyd), best of ``restarts`` runs.
 
@@ -131,14 +130,12 @@ def kmeans_pp(
         raise InputError("restarts must be positive")
     if len({row.tobytes() for row in points + 0.0}) < k:  # + 0.0 folds -0.0 into 0.0
         # one cluster per distinct point is exact (inertia 0) and leaves the
-        # rest empty whatever Lloyd does; it would only reseed them for max_iter
+        # rest empty whatever Lloyd does; it would only reseed them for MAX_ITER
         distinct, inverse = np.unique(points, axis=0, return_inverse=True)
         return KMeansResult(
             labels=inverse.reshape(-1),
             centroids=np.resize(distinct, (k, points.shape[1])),
             inertia=0.0,
-            seed=seed,
-            restarts_used=restarts,
             n_iter=0,
         )
 
@@ -146,19 +143,12 @@ def kmeans_pp(
     for r in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
         centroids = _plusplus_seed(points, k, rng)
-        labels, centroids, inertia, n_iter = _lloyd(points, centroids.copy(), max_iter, tol)
+        labels, centroids, inertia, n_iter = _lloyd(points, centroids.copy())
         if best is None or inertia < best[0]:
-            best = (inertia, r, labels, centroids, n_iter)
+            best = (inertia, labels, centroids, n_iter)
 
-    inertia, r, labels, centroids, n_iter = best
-    return KMeansResult(
-        labels=labels,
-        centroids=centroids,
-        inertia=inertia,
-        seed=seed,
-        restarts_used=restarts,
-        n_iter=n_iter,
-    )
+    inertia, labels, centroids, n_iter = best
+    return KMeansResult(labels=labels, centroids=centroids, inertia=inertia, n_iter=n_iter)
 
 
 def assign_transformers(

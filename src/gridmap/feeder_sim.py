@@ -29,6 +29,7 @@ from .geo import EARTH_RADIUS_KM
 from .ingest import GroundTruth, MeterDataset, TransformerSet
 
 SECONDARY_KINDS = ("chain", "star")
+MAX_REDRAWS = 100  # per meter, before a spec counts as unable to separate
 
 
 @dataclass
@@ -86,6 +87,8 @@ class FeederSpec:
             raise InputError("resistances must be nonnegative")
         if self.T < 2:
             raise InputError("T must be at least 2")
+        if self.seed < 0:
+            raise InputError(f"seed must be non-negative, got {self.seed}")
         if self.noise_std_pu < 0 or self.load_noise_pu < 0:
             raise InputError("noise levels must be nonnegative")
         if self.der_injection_pu < 0:
@@ -162,7 +165,8 @@ def generate_profiles(spec: FeederSpec) -> LoadProfileSet:
 
     Amplitude and phase are drawn per meter. If two meters on different
     transformers end up with exactly identical profiles, the second one is
-    redrawn (with an amplitude floor so degenerate specs still separate).
+    redrawn (with an amplitude floor so degenerate specs still separate),
+    up to MAX_REDRAWS times.
     """
     rng = _rng(spec, 0)
     labels = spec.labels()
@@ -173,12 +177,18 @@ def generate_profiles(spec: FeederSpec) -> LoadProfileSet:
         phase = rng.uniform(0.0, 2.0 * np.pi)
         loads[i] = _build_profile(spec, rng, amp, phase)
 
-    def collision(i):
-        same = loads[:i] == loads[i]
-        return np.any(same.all(axis=1) & (labels[:i] != labels[i]))
-
+    # profile bytes (+ 0.0 folds -0.0 into 0.0) -> transformer of the first
+    # meter that drew it; every later meter with that profile shares it
+    owner = {}
     for i in range(n):
-        while collision(i):
+        redraws = 0
+        while owner.setdefault((loads[i] + 0.0).tobytes(), labels[i]) != labels[i]:
+            if redraws == MAX_REDRAWS:
+                raise InputError(
+                    f"meter {i}'s load profile still matches another transformer's after "
+                    f"{MAX_REDRAWS} redraws; do the loads all clamp at -der_injection_pu?"
+                )
+            redraws += 1
             amp = max(spec.load_amp_pu, 1e-6) * rng.uniform(0.5, 1.5)
             phase = rng.uniform(0.0, 2.0 * np.pi)
             loads[i] = _build_profile(spec, rng, amp, phase)

@@ -22,8 +22,8 @@ When the Ritz interval touches the rest of the spectrum (s <= 0) there is
 no guarantee and the bound is left unevaluated rather than reported false.
 
 The ideal Laplacian of a reference assignment is block-diagonal with
-blocks n_j I - J, so ``certify`` and ``check_assumption`` take its
-spectrum, its action and its bottom eigenvectors in closed form;
+blocks n_j I - J, so ``certify`` takes its spectrum, its action and its
+bottom eigenvectors in closed form (``check_assumption`` reads its delta);
 ``tangent_bound`` accepts any reference Laplacian and decomposes it. Both
 evaluate the bound through the same routine.
 """
@@ -36,7 +36,7 @@ import numpy as np
 from .errors import InputError
 from .graph import SimilarityGraph, laplacian
 from .ingest import GroundTruth
-from .spectral import eigendecompose, eigenvalue
+from .spectral import eigendecompose
 
 ORTHO_TOL = 1e-8
 COS_FLOOR = 1e-15
@@ -223,17 +223,15 @@ def _check_sizes(k: int, n: int, truth: GroundTruth | None = None) -> None:
 
 
 def check_assumption(real: SimilarityGraph, truth: GroundTruth, k: int) -> tuple[float, bool]:
-    """Gap between the (k+1)-th ideal and k-th measured eigenvalue.
+    """Gap between the (k+1)-th ideal and k-th measured eigenvalue, and
+    whether it is positive: ``certify``'s delta and verdict.
 
     Positive delta means the measured Laplacian's k-dimensional bottom
     subspace is still separated from where the ideal spectrum continues,
     which is what the perturbation bound needs to say anything.
     """
-    l_real = laplacian(real)
-    _check_sizes(k, l_real.shape[0], truth)
-    ideal, _ = _ideal_spectrum(truth.sizes)
-    delta = float(ideal[k] - eigenvalue(l_real, k - 1))
-    return delta, delta > 0.0
+    report = certify(real, truth, k)
+    return report.delta, report.assumption_holds
 
 
 def tangent_bound(l_ideal: np.ndarray, x_tilde: np.ndarray, k: int) -> GuaranteeReport:

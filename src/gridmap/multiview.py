@@ -83,10 +83,11 @@ def solve_multiview(
 
     Initializes both embeddings from their single-view Laplacians, then
     updates voltage first and location second each outer iteration, until
-    the relative objective change drops below cfg.tol or the iteration cap
-    is hit (then the best iterate is returned and a warning is issued).
-    Returns the final-view embedding, the k-means++ result on its rows,
-    and the iteration record.
+    the relative change of the end-of-iteration objective drops below
+    cfg.tol or the iteration cap is hit (then a warning is issued). Each
+    half-step minimizes the objective exactly, so the last iterate is also
+    the best one. Returns the final-view embedding, the k-means++ result on
+    its rows, and the iteration record.
     """
     cfg.validate()
     l_v = laplacian(g_v)
@@ -96,51 +97,35 @@ def solve_multiview(
 
     emb_v = embed(l_v, k)
     emb_l = embed(l_l, k)
-    h_v, h_l = emb_v.X, emb_l.X
     lam = cfg.lambda_reg
 
-    state = MultiViewState(H_v=h_v, H_l=h_l)
-    state.objective_trace.append(joint_objective(l_v, l_l, h_v, h_l, lam))
-    best = (state.objective_trace[0], emb_v, emb_l, h_v, h_l)
-
-    prev_outer = state.objective_trace[0]
+    state = MultiViewState(H_v=emb_v.X, H_l=emb_l.X)
+    trace = state.objective_trace
+    trace.append(joint_objective(l_v, l_l, emb_v.X, emb_l.X, lam))
     for it in range(1, cfg.max_outer_iters + 1):
-        emb_v = embed(combined_laplacian(l_v, h_l, lam), k)
-        h_v = emb_v.X
-        state.objective_trace.append(joint_objective(l_v, l_l, h_v, h_l, lam))
-
-        emb_l = embed(combined_laplacian(l_l, h_v, lam), k)
-        h_l = emb_l.X
-        obj = joint_objective(l_v, l_l, h_v, h_l, lam)
-        state.objective_trace.append(obj)
-
+        emb_v = embed(combined_laplacian(l_v, emb_l.X, lam), k)
+        trace.append(joint_objective(l_v, l_l, emb_v.X, emb_l.X, lam))
+        emb_l = embed(combined_laplacian(l_l, emb_v.X, lam), k)
+        trace.append(joint_objective(l_v, l_l, emb_v.X, emb_l.X, lam))
         state.n_iters = it
-        if obj <= best[0]:
-            best = (obj, emb_v, emb_l, h_v, h_l)
-        if abs(prev_outer - obj) <= cfg.tol * max(1.0, abs(prev_outer)):
+        if abs(trace[-3] - trace[-1]) <= cfg.tol * max(1.0, abs(trace[-3])):
             state.converged = True
             break
-        prev_outer = obj
-
     if not state.converged:
         warnings.warn(
             f"multi-view solve did not converge in {cfg.max_outer_iters} iterations; "
-            "returning the best iterate"
+            "returning the last iterate"
         )
-        _, emb_v, emb_l, h_v, h_l = best
-
-    state.H_v, state.H_l = h_v, h_l
+    state.H_v, state.H_l = emb_v.X, emb_l.X
 
     if cfg.final_view == "voltage":
-        final_emb, points = emb_v, h_v
+        final_emb = emb_v
     elif cfg.final_view == "location":
-        final_emb, points = emb_l, h_l
+        final_emb = emb_l
     else:
-        points = 0.5 * (h_v + h_l)
         final_emb = SpectralEmbedding(
-            X=points,
+            X=0.5 * (emb_v.X + emb_l.X),
             eigenvalues=0.5 * (emb_v.eigenvalues + emb_l.eigenvalues),
             next_eigenvalue=0.5 * (emb_v.next_eigenvalue + emb_l.next_eigenvalue),
         )
-
-    return final_emb, kmeans_pp(points, k, seed=seed, restarts=restarts), state
+    return final_emb, kmeans_pp(final_emb.X, k, seed=seed, restarts=restarts), state

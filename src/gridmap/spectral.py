@@ -6,9 +6,8 @@ rows are the natural low-dimensional embedding of the meters. Eigenvector
 signs are fixed deterministically: each vector is flipped, if needed, so
 its largest-magnitude entry (lowest index on ties) is positive.
 
-Callers that read only the bottom of the spectrum ask for only that part:
-``embed`` solves for eigenpairs 0..k and ``eigenvalue`` for one value, so
-only ``eigendecompose`` pays for all N eigenpairs.
+``embed`` solves only for the eigenpairs 0..k it reads; ``eigendecompose``
+pays for all N.
 """
 from __future__ import annotations
 
@@ -42,8 +41,8 @@ def fix_signs(vectors: np.ndarray) -> np.ndarray:
     return v
 
 
-def _eigh(matrix, subset=None, vectors=True):
-    """Ascending eigenvalues (and sign-fixed eigenvectors) of a symmetric
+def _eigh(matrix, subset=None):
+    """Ascending eigenvalues and sign-fixed eigenvectors of a symmetric
     matrix, for the index range ``subset = (first, last)`` or all of them.
 
     The full solve uses LAPACK's divide-and-conquer driver, the one
@@ -59,31 +58,23 @@ def _eigh(matrix, subset=None, vectors=True):
     if np.max(np.abs(a - a.T)) > 1e-10 * max(1.0, np.abs(a).max()):
         raise InputError("matrix must be symmetric")
     try:
-        out = scipy.linalg.eigh(
+        w, v = scipy.linalg.eigh(
             a,
-            eigvals_only=not vectors,
             subset_by_index=subset,
             driver="evd" if subset is None else "evr",
             check_finite=False,
         )
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    w, v = out if vectors else (out, None)
     if not np.all(np.isfinite(w)):
         raise NumericalError("eigendecomposition produced non-finite eigenvalues")
-    return w, None if v is None else fix_signs(v)
+    return w, fix_signs(v)
 
 
 def eigendecompose(matrix: np.ndarray) -> EigenDecomposition:
     """Full eigendecomposition of a symmetric matrix, ascending eigenvalues."""
     w, v = _eigh(matrix)
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
-
-
-def eigenvalue(matrix: np.ndarray, index: int) -> float:
-    """The ``index``-th smallest eigenvalue (0-based) of a symmetric matrix."""
-    w, _ = _eigh(matrix, subset=(index, index), vectors=False)
-    return float(w[0])
 
 
 def embed(matrix: np.ndarray, k: int) -> SpectralEmbedding:

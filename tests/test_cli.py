@@ -1,14 +1,19 @@
 """End-to-end exercises of the command line.
 
-Everything goes through main(argv) in-process, so exit codes and the
-files written to --out can be checked without spawning subprocesses.
+Everything but the ``python -m`` check goes through main(argv) in-process,
+so exit codes and the files written to --out can be checked without
+spawning subprocesses.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gridmap
 from gridmap.cli import main
 from gridmap.ingest import save_dataset, save_ground_truth, save_transformers
 
@@ -70,6 +75,19 @@ def test_simulate_rejects_negative_resistance(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert main(["simulate", "--spec", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_simulate_fails_cleanly_when_loads_cannot_separate(tmp_path, capsys):
+    # every load clamps at the zero injection floor, so every profile is the
+    # same and no redraw can tell the two transformers apart
+    spec = tmp_path / "flat.json"
+    spec.write_text(json.dumps({
+        "k": 2, "meters_per_xfmr": [2, 2], "xfmr_impedance_pu": 0.003,
+        "line_resistance_pu": 0.0001, "T": 8, "noise_std_pu": 0.0, "seed": 0,
+        "base_load_pu": -0.5,
+    }))
+    assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+    assert "redraws" in capsys.readouterr().err
 
 
 def cluster_args(src, k=None, **extra):
@@ -160,6 +178,17 @@ def test_version_flag_exits_0():
     assert err.value.code == 0
 
 
+def test_module_entry_point_runs_without_a_runtime_warning():
+    src = os.path.dirname(os.path.dirname(gridmap.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "gridmap.cli", "--version"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_config_file_fills_gaps_and_flags_win(tmp_path):
     out = simulate(tmp_path, two_cluster_spec(0.0, seed=2))
     cfg = tmp_path / "cfg.json"
@@ -214,6 +243,33 @@ def test_seed_comes_from_the_environment(tmp_path, monkeypatch):
 
     monkeypatch.setenv("GRIDMAP_SEED", "not-a-number")
     assert main(cluster_args(out, k=2, out=tmp_path / "bad")) == 2
+
+
+@pytest.mark.parametrize("route", ["flag", "config", "environment", "simulate", "sweep-noise"])
+def test_negative_seed_exits_2(tmp_path, monkeypatch, capsys, route):
+    doc = two_cluster_spec(0.0, seed=0).to_json_dict()
+    doc["seed"] = -1
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    out = str(tmp_path / "o")
+    if route == "simulate":
+        argv = ["simulate", "--spec", str(spec), "--out", out]
+    elif route == "sweep-noise":
+        argv = ["sweep-noise", "--spec", str(spec), "--noise-grid", "0.0",
+                "--trials", "1", "--out", out]
+    else:
+        argv = cluster_args(simulate(tmp_path, two_cluster_spec(0.0, seed=0)), k=2, out=out)
+        if route == "flag":
+            argv += ["--seed", "-1"]
+        elif route == "config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"seed": -1}))
+            argv += ["--config", str(cfg)]
+        else:
+            monkeypatch.setenv("GRIDMAP_SEED", "-1")
+    assert main(argv) == 2
+    assert "gridmap: error:" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_dump_similarity_and_embedding(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 import scenarios
 from gridmap.cluster import (
     MappingResult,
+    _lloyd,
     assign_transformers,
     evaluate,
     kmeans_pp,
@@ -76,6 +77,17 @@ def test_inertia_matches_labels():
         for c in range(4)
     )
     assert res.inertia == pytest.approx(direct, rel=1e-10)
+
+
+def test_lloyd_reseeds_an_empty_cluster():
+    # the centroid at 50 draws no points on the first pass; it is reseeded
+    # at the farthest point, and that pass skips the monotonicity check
+    pts = np.array([[0.0], [0.1], [1.0], [1.1]])
+    labels, centroids, inertia, _ = _lloyd(pts, np.array([[0.0], [1.0], [50.0]]))
+    assert np.bincount(labels, minlength=3).min() >= 1
+    direct = sum(np.sum((pts[labels == c] - pts[labels == c].mean(axis=0)) ** 2)
+                 for c in range(3))
+    assert inertia == pytest.approx(direct, rel=1e-10)
 
 
 def test_duplicate_points_do_not_crash():

@@ -300,6 +300,4 @@ def test_closed_form_certificate_equals_the_decomposed_one(case, k, bounded):
     assert_reports_equal(report, dense_certify(g, truth, k))
     assert (report.separation > 0.0) == bounded
     assert (report.bound_holds_2 is not None) == bounded
-    delta, holds = check_assumption(g, truth, k)
-    assert delta == pytest.approx(report.delta, rel=1e-10, abs=1e-10)
-    assert holds == report.assumption_holds
+    assert check_assumption(g, truth, k) == (report.delta, report.assumption_holds)

@@ -160,6 +160,7 @@ def test_iteration_cap_warns_and_returns_best():
         _, _, state = solve_multiview(g_v, g_l, truth.k, cfg, seed=4)
     assert not state.converged
     assert state.n_iters == 1
+    assert state.objective_trace[-1] == min(state.objective_trace)
 
 
 def test_views_must_agree_on_size():

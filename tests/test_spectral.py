@@ -7,7 +7,7 @@ from gridmap.feeder_sim import generate_profiles, simulate_voltages
 from gridmap.graph import ideal_graph, laplacian, location_similarity, voltage_similarity
 from gridmap.guarantee import canonical_angles
 from gridmap.multiview import combined_laplacian
-from gridmap.spectral import eigendecompose, eigenvalue, embed, fix_signs, trace_objective
+from gridmap.spectral import eigendecompose, embed, fix_signs, trace_objective
 
 
 def ideal_laplacian(sizes):
@@ -159,12 +159,3 @@ def test_embed_equals_full_solve_on_an_indefinite_multiview_matrix():
     combined = combined_laplacian(l_v, h_l, 0.5)
     assert eigendecompose(combined).eigenvalues[0] < 0.0
     assert_embed_matches_full_solve(combined, 2)
-
-
-def test_eigenvalue_picks_one_of_the_full_spectrum():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((12, 12))
-    sym = (a + a.T) / 2.0
-    full = eigendecompose(sym).eigenvalues
-    for i in (0, 5, 11):
-        assert eigenvalue(sym, i) == pytest.approx(full[i], abs=1e-12 * np.abs(full).max())
