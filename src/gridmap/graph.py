@@ -40,8 +40,11 @@ def median_pairwise(distances: np.ndarray) -> float:
     Falls back to the mean positive distance when the median vanishes
     (more than half the pairs coincide), and to 1.0 if every pair does;
     at zero distance the kernel is 1 regardless of sigma, so any positive
-    width is equivalent there.
+    width is equivalent there. Raises InputError unless ``distances`` is a
+    square matrix.
     """
+    if distances.ndim != 2 or distances.shape[0] != distances.shape[1]:
+        raise InputError(f"expected a square distance matrix, got shape {distances.shape}")
     iu = np.triu_indices(distances.shape[0], k=1)
     vals = distances[iu]
     med = float(np.median(vals))

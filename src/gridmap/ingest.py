@@ -13,12 +13,21 @@ Coordinates are degrees on disk and radians in memory. Voltages are per-unit.
 Missing samples are filled per meter by linear interpolation over the sample
 index, holding the nearest observed value at the ends. A meter missing more
 than 20 percent of its samples is dropped with a warning instead of imputed.
+
+Every file is streamed through ``csv.reader`` one row at a time. A voltage
+row is converted in one call and goes through the per-cell parser only when
+that fails or yields a non-finite value, so the panel costs about one N x T
+float64 array in memory. Unreadable files, undecodable bytes and malformed
+CSV raise InputError, as do bad cells; the first bad row in file order
+decides the error.
 """
 from __future__ import annotations
 
+import array
 import csv
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,15 +83,23 @@ class GroundTruth:
         return np.bincount(self.labels, minlength=self.k)
 
 
-def _read_rows(path) -> list[list[str]]:
+@contextmanager
+def _csv_rows(path):
+    """Open a CSV file and yield its header row and a reader over the rest.
+
+    The file is closed on leaving the block, also when a row raises.
+    """
     try:
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise InputError(f"{path}: empty file")
+            yield header, reader
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise InputError(f"{path}: empty file")
-    return rows
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"{path}: malformed CSV: {exc}") from exc
 
 
 def _parse_float(cell: str, path, what: str) -> float:
@@ -95,23 +112,42 @@ def _parse_float(cell: str, path, what: str) -> float:
     return value
 
 
-def _parse_coords(rows, path) -> tuple[list[str], np.ndarray]:
-    header = rows[0]
-    if len(header) != 3:
-        raise InputError(f"{path}: expected 3 columns, got {len(header)}")
-    ids: list[str] = []
-    coords = []
-    for row in rows[1:]:
-        if len(row) != 3:
-            raise InputError(f"{path}: row with {len(row)} cells, expected 3")
-        ids.append(row[0])
-        lat = _parse_float(row[1], path, "latitude")
-        lon = _parse_float(row[2], path, "longitude")
-        if not (-90.0 <= lat <= 90.0):
-            raise InputError(f"{path}: latitude {lat} out of [-90, 90] for {row[0]!r}")
-        if not (-180.0 <= lon <= 180.0):
-            raise InputError(f"{path}: longitude {lon} out of [-180, 180] for {row[0]!r}")
-        coords.append((math.radians(lat), math.radians(lon)))
+def _parse_voltages(cells: list[str], path) -> np.ndarray:
+    """One meter's samples as float64, with NaN for empty cells.
+
+    ``float`` is what _parse_float calls, so the one-call conversion accepts
+    exactly what the per-cell loop accepts; the loop runs only to mark empty
+    cells or to raise the error for the first bad one.
+    """
+    try:
+        row = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+    except ValueError:
+        pass
+    else:
+        if np.isfinite(row).all():
+            return row
+    return np.array(
+        [math.nan if cell == "" else _parse_float(cell, path, "voltage") for cell in cells]
+    )
+
+
+def _load_coords(path) -> tuple[list[str], np.ndarray]:
+    with _csv_rows(path) as (header, rows):
+        if len(header) != 3:
+            raise InputError(f"{path}: expected 3 columns, got {len(header)}")
+        ids: list[str] = []
+        coords = []
+        for row in rows:
+            if len(row) != 3:
+                raise InputError(f"{path}: row with {len(row)} cells, expected 3")
+            ids.append(row[0])
+            lat = _parse_float(row[1], path, "latitude")
+            lon = _parse_float(row[2], path, "longitude")
+            if not (-90.0 <= lat <= 90.0):
+                raise InputError(f"{path}: latitude {lat} out of [-90, 90] for {row[0]!r}")
+            if not (-180.0 <= lon <= 180.0):
+                raise InputError(f"{path}: longitude {lon} out of [-180, 180] for {row[0]!r}")
+            coords.append((math.radians(lat), math.radians(lon)))
     if len(set(ids)) != len(ids):
         raise InputError(f"{path}: duplicate ids")
     return ids, np.asarray(coords, dtype=float).reshape(len(ids), 2)
@@ -124,43 +160,38 @@ def load_dataset(voltages_path, locations_path=None) -> MeterDataset:
     been linearly interpolated per meter, and meters with more than 20
     percent of samples missing have been dropped (a UserWarning names them).
     """
-    rows = _read_rows(voltages_path)
-    header = rows[0]
-    if len(header) < 3:
-        raise InputError(f"{voltages_path}: need at least two sample columns")
-    timestamps = header[1:]
-    t = len(timestamps)
+    with _csv_rows(voltages_path) as (header, rows):
+        if len(header) < 3:
+            raise InputError(f"{voltages_path}: need at least two sample columns")
+        timestamps = header[1:]
+        t = len(timestamps)
 
-    ids: list[str] = []
-    raw = []
-    for row in rows[1:]:
-        if len(row) != t + 1:
-            raise InputError(
-                f"{voltages_path}: row for {row[0] if row else '?'!r} has "
-                f"{len(row) - 1} samples, expected {t}"
-            )
-        ids.append(row[0])
-        vals = [
-            math.nan if cell == "" else _parse_float(cell, voltages_path, "voltage")
-            for cell in row[1:]
-        ]
-        raw.append(vals)
+        ids: list[str] = []
+        # grows in place, so the parsed panel is held once
+        samples = array.array("d")
+        for row in rows:
+            if len(row) != t + 1:
+                raise InputError(
+                    f"{voltages_path}: row for {row[0] if row else '?'!r} has "
+                    f"{len(row) - 1} samples, expected {t}"
+                )
+            ids.append(row[0])
+            samples.frombytes(_parse_voltages(row[1:], voltages_path).tobytes())
     if len(set(ids)) != len(ids):
         raise InputError(f"{voltages_path}: duplicate meter ids")
 
-    volts = np.asarray(raw, dtype=float)
+    volts = np.frombuffer(samples, dtype=float).reshape(len(ids), t)
     missing = np.isnan(volts)
-    frac = missing.mean(axis=1) if t else np.zeros(len(ids))
-    keep = frac <= MAX_MISSING_FRACTION
+    keep = missing.mean(axis=1) <= MAX_MISSING_FRACTION
     dropped = [m for m, ok in zip(ids, keep) if not ok]
     if dropped:
         warnings.warn(
             f"dropped {len(dropped)} meter(s) with more than "
             f"{MAX_MISSING_FRACTION:.0%} missing samples: {', '.join(dropped)}"
         )
-    ids = [m for m, ok in zip(ids, keep) if ok]
-    volts = volts[keep]
-    missing = missing[keep]
+        ids = [m for m, ok in zip(ids, keep) if ok]
+        volts = volts[keep]
+        missing = missing[keep]
 
     n_imputed = int(missing.sum())
     if n_imputed:
@@ -181,7 +212,7 @@ def load_dataset(voltages_path, locations_path=None) -> MeterDataset:
 
     locations = None
     if locations_path is not None:
-        loc_ids, coords = _parse_coords(_read_rows(locations_path), locations_path)
+        loc_ids, coords = _load_coords(locations_path)
         pos = {m: i for i, m in enumerate(loc_ids)}
         missing_ids = [m for m in ids if m not in pos]
         if missing_ids:
@@ -201,7 +232,7 @@ def load_dataset(voltages_path, locations_path=None) -> MeterDataset:
 
 
 def load_transformers(path) -> TransformerSet:
-    ids, coords = _parse_coords(_read_rows(path), path)
+    ids, coords = _load_coords(path)
     if not ids:
         raise InputError(f"{path}: no transformers")
     return TransformerSet(xfmr_ids=ids, locations=coords)
@@ -215,16 +246,16 @@ def load_ground_truth(path, meters, xfmrs: TransformerSet) -> GroundTruth:
     every transformer must serve at least one meter.
     """
     meter_ids = list(meters.meter_ids) if hasattr(meters, "meter_ids") else list(meters)
-    rows = _read_rows(path)
-    if len(rows[0]) != 2:
-        raise InputError(f"{path}: expected 2 columns, got {len(rows[0])}")
     mapping: dict[str, str] = {}
-    for row in rows[1:]:
-        if len(row) != 2:
-            raise InputError(f"{path}: row with {len(row)} cells, expected 2")
-        if row[0] in mapping:
-            raise InputError(f"{path}: duplicate meter id {row[0]!r}")
-        mapping[row[0]] = row[1]
+    with _csv_rows(path) as (header, rows):
+        if len(header) != 2:
+            raise InputError(f"{path}: expected 2 columns, got {len(header)}")
+        for row in rows:
+            if len(row) != 2:
+                raise InputError(f"{path}: row with {len(row)} cells, expected 2")
+            if row[0] in mapping:
+                raise InputError(f"{path}: duplicate meter id {row[0]!r}")
+            mapping[row[0]] = row[1]
 
     known = set(xfmrs.xfmr_ids)
     xfmr_index = {x: j for j, x in enumerate(xfmrs.xfmr_ids)}
@@ -250,17 +281,13 @@ def load_ground_truth(path, meters, xfmrs: TransformerSet) -> GroundTruth:
     )
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def save_dataset(ds: MeterDataset, voltages_path, locations_path=None) -> None:
     """Write a dataset back to CSV in the format load_dataset reads."""
     with open(voltages_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["meter_id", *ds.timestamps])
         for i, m in enumerate(ds.meter_ids):
-            writer.writerow([m, *(_fmt(v) for v in ds.voltages[i])])
+            writer.writerow([m, *map(repr, ds.voltages[i].tolist())])
     if locations_path is not None:
         if ds.locations is None:
             raise InputError("dataset has no locations to save")
@@ -285,5 +312,5 @@ def _save_coords(ids, coords, id_col, path) -> None:
         writer.writerow([id_col, "lat_deg", "lon_deg"])
         for i, name in enumerate(ids):
             writer.writerow(
-                [name, _fmt(math.degrees(coords[i, 0])), _fmt(math.degrees(coords[i, 1]))]
+                [name, repr(math.degrees(coords[i, 0])), repr(math.degrees(coords[i, 1]))]
             )

@@ -5,6 +5,7 @@ so exit codes and the files written to --out can be checked without
 spawning subprocesses.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -421,6 +422,24 @@ def test_validate_missing_truth_file_exits_2(tmp_path):
     argv[6] = str(out / "nope.csv")
     assert argv[5] == "--ground-truth"
     assert main(argv) == 2
+
+
+@pytest.mark.parametrize("name,good,bad", [
+    ("voltages.csv", b"\nm000,", b"\nm\xe9000,"),
+    ("transformers.csv", b"\nx0,", b"\nx\xe90,"),
+    ("ground_truth.csv", b"\nm000,", b"\nm\xe9000,"),
+    # the open quote runs to the end of the file, past csv's field size limit
+    ("voltages.csv", b"\nm000,", b'\n"m000,'),
+], ids=["latin1-voltages", "latin1-transformers", "latin1-truth", "unterminated-quote"])
+def test_undecodable_or_malformed_csv_exits_2(tmp_path, capsys, name, good, bad):
+    spec = dataclasses.replace(three_cluster_spec(0.0, seed=2), T=200)
+    out = simulate(tmp_path, spec)
+    path = out / name
+    raw = path.read_bytes()
+    assert good in raw
+    path.write_bytes(raw.replace(good, bad, 1))
+    assert main(_validate(out)) == 2
+    assert f"{path}: malformed CSV" in capsys.readouterr().err
 
 
 def test_sweep_noise_orders_rows_and_nails_the_clean_level(tmp_path):

@@ -91,6 +91,11 @@ def test_median_pairwise_branches():
     assert median_pairwise(d2) == 6.0
     # no information at all: unit width
     assert median_pairwise(np.zeros((3, 3))) == 1.0
+    # an (N, T) voltage matrix is not a distance matrix, whether T < N or T >= N
+    rng = np.random.default_rng(0)
+    for shape in ((5, 3), (5, 8)):
+        with pytest.raises(InputError, match="square"):
+            median_pairwise(rng.random(shape))
 
 
 def test_auto_sigma_is_median_distance():

@@ -1,10 +1,13 @@
+import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from gridmap.errors import InputError
 from gridmap.ingest import (
+    MAX_MISSING_FRACTION,
     GroundTruth,
     MeterDataset,
     TransformerSet,
@@ -39,20 +42,56 @@ def _random_dataset(seed, n=6, t=20, with_locations=True):
     )
 
 
+def _per_cell_load(path):
+    """load_dataset's per-cell parse and imputation, the reference for its row parse."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    volts = np.array([[math.nan if c == "" else float(c) for c in r[1:]] for r in rows])
+    missing = np.isnan(volts)
+    keep = missing.mean(axis=1) <= MAX_MISSING_FRACTION
+    volts, missing = volts[keep], missing[keep]
+    idx = np.arange(volts.shape[1], dtype=float)
+    for i in np.flatnonzero(missing.any(axis=1)):
+        obs = ~missing[i]
+        volts[i, missing[i]] = np.interp(idx[missing[i]], idx[obs], volts[i, obs])
+    ids = [r[0] for r in rows]
+    kept = [m for m, ok in zip(ids, keep) if ok]
+    return kept, volts, int(missing.sum()), [m for m, ok in zip(ids, keep) if not ok]
+
+
 def test_save_load_round_trip(tmp_path):
     ds = _random_dataset(3)
-    vp = tmp_path / "voltages.csv"
+    ds.meter_ids[1] = "m1,west"     # csv.writer quotes it
     lp = tmp_path / "locations.csv"
-    save_dataset(ds, vp, lp)
-    back = load_dataset(str(vp), str(lp))
-    assert back.meter_ids == ds.meter_ids
-    assert back.timestamps == ds.timestamps
-    # repr() round-trips floats exactly
-    assert np.array_equal(back.voltages, ds.voltages)
-    # coordinates pass through a degrees conversion, so allow roundoff
-    assert np.allclose(back.locations, ds.locations, rtol=0.0, atol=1e-12)
-    assert back.n_imputed == 0
-    assert back.dropped == []
+    # row -> sample columns blanked on disk; row 5 loses 25% of its samples and is dropped
+    for blanks in ({}, {2: [0, 7], 4: [19], 5: [0, 4, 8, 12, 16]}):
+        vp = tmp_path / "voltages.csv"
+        save_dataset(ds, vp, lp)
+        if blanks:
+            with open(vp, newline="") as fh:
+                rows = list(csv.reader(fh))
+            for i, cols in blanks.items():
+                for j in cols:
+                    rows[i + 1][j + 1] = ""
+            with open(vp, "w", newline="") as fh:
+                csv.writer(fh).writerows(rows)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            back = load_dataset(str(vp), str(lp))
+        ids, volts, n_imputed, dropped = _per_cell_load(vp)
+        assert back.meter_ids == ids
+        assert back.timestamps == ds.timestamps
+        assert back.voltages.tobytes() == volts.tobytes()
+        assert (back.n_imputed, back.dropped) == (n_imputed, dropped)
+        assert len(caught) == len(dropped)
+        if blanks:
+            assert (dropped, n_imputed) == (["m5"], 3)
+        else:
+            # repr() round-trips floats exactly
+            assert ids == ds.meter_ids and np.array_equal(volts, ds.voltages)
+        # coordinates pass through a degrees conversion, so allow roundoff
+        order = [ds.meter_ids.index(m) for m in ids]
+        assert np.allclose(back.locations, ds.locations[order], rtol=0.0, atol=1e-12)
 
 
 def test_missing_cells_imputed_and_counted(tmp_path):
@@ -110,12 +149,17 @@ def test_meter_with_too_many_gaps_is_dropped(tmp_path):
 @pytest.mark.parametrize("body,message", [
     ("meter_id,t0,t1\na,1.0,1.0\na,1.0,1.0\n", "duplicate"),
     ("meter_id,t0,t1\na,1.0,1.0\n", "at least 2 meters"),
+    ("meter_id,t0,t1\n", "at least 2 meters"),
     ("meter_id,t0,t1\na,1.0,1.0\nb,1.0\n", "expected 2"),
     ("meter_id,t0,t1\na,1.0,2.5\nb,1.0,1.0\n", "strictly inside"),
     ("meter_id,t0,t1\na,1.0,-1.0\nb,1.0,1.0\n", "strictly inside"),
     ("meter_id,t0,t1\na,1.0,inf\nb,1.0,1.0\n", "non-finite"),
     ("meter_id,t0,t1\na,1.0,oops\nb,1.0,1.0\n", "bad voltage"),
-], ids=["dup-id", "one-meter", "ragged", "too-high", "negative", "inf", "garbage"])
+    ("meter_id,t0,t1\na,1.0,-inf\nb,1.0,1.0\n", "non-finite voltage value '-inf'"),
+    # the first bad row in file order decides the error
+    ("meter_id,t0,t1\na,1.0,nan\nb,1.0,oops\n", "non-finite voltage value 'nan'"),
+], ids=["dup-id", "one-meter", "header-only", "ragged", "too-high", "negative", "inf", "garbage",
+        "minus-inf", "nan-before-garbage"])
 def test_bad_voltage_files_rejected(tmp_path, body, message):
     path = _write(tmp_path / "v.csv", body)
     with pytest.raises(InputError, match=message):
