@@ -20,6 +20,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -61,9 +62,12 @@ def _sigma_arg(text: str):
     if text == "auto":
         return text
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected 'auto' or a number, got {text!r}")
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected 'auto' or a finite number, got {text!r}")
+    return value
 
 
 def _noise_grid(text: str) -> list[float]:
@@ -71,8 +75,8 @@ def _noise_grid(text: str) -> list[float]:
         grid = [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad noise grid {text!r}")
-    if not grid or any(x < 0 for x in grid):
-        raise argparse.ArgumentTypeError("noise grid must be nonnegative numbers")
+    if not grid or not all(0 <= x < math.inf for x in grid):
+        raise argparse.ArgumentTypeError("noise grid must be finite nonnegative numbers")
     return grid
 
 

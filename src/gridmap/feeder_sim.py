@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+import numbers
+from dataclasses import dataclass, asdict, fields
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -75,6 +76,13 @@ class FeederSpec:
         return sum(self.meters_per_xfmr)
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and not isinstance(value, numbers.Integral):
+                raise InputError(f"{f.name} must be an integer, got {value!r}")
+            if ("float" in f.type or "ndarray" in f.type) and value is not None:
+                if not np.isfinite(value).all():
+                    raise InputError(f"{f.name} must be finite")
         if self.k < 1:
             raise InputError("k must be at least 1")
         if len(self.meters_per_xfmr) != self.k:
@@ -125,7 +133,7 @@ class FeederSpec:
                 d[key] = np.radians(np.asarray(d[key], dtype=float))
         try:
             return cls(**d)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise InputError(f"bad feeder spec: {exc}") from exc
 
     @classmethod

@@ -59,8 +59,8 @@ def _kernel(distances: np.ndarray, sigma) -> SimilarityGraph:
         width = median_pairwise(distances)
     else:
         width = float(sigma)
-        if width <= 0.0:
-            raise InputError("sigma must be positive")
+        if not 0.0 < width < np.inf:
+            raise InputError("sigma must be positive and finite")
     with np.errstate(under="ignore"):
         m = np.exp(-((distances / width) ** 2))
     np.fill_diagonal(m, 1.0)

@@ -242,13 +242,13 @@ def tangent_bound(l_ideal: np.ndarray, x_tilde: np.ndarray, k: int) -> Guarantee
     rest of the ideal spectrum, the report says so (separation 0, bound
     fields None) instead of claiming anything.
     """
-    dec = eigendecompose(l_ideal)
     n = l_ideal.shape[0]
     _check_sizes(k, n)
+    dec = eigendecompose(l_ideal, k)
     if np.shape(x_tilde) != (n, k):
         raise InputError(f"x_tilde must be {(n, k)}, got {np.shape(x_tilde)}")
     return _bound(
-        lambda x: l_ideal @ x, x_tilde, dec.eigenvalues, k, lambda: dec.eigenvectors[:, :k]
+        lambda x: l_ideal @ x, x_tilde, dec.eigenvalues, k, lambda: dec.eigenvectors
     )
 
 
@@ -295,13 +295,13 @@ def certify(real: SimilarityGraph, truth: GroundTruth, k: int) -> GuaranteeRepor
     l_real = laplacian(real)
     _check_sizes(k, l_real.shape[0], truth)
     labels, sizes = truth.labels, truth.sizes
-    # all N measured eigenvalues are reported, so this solve stays full
-    dec_real = eigendecompose(l_real)
+    # every measured eigenvalue is reported, but only k eigenvectors are read
+    dec_real = eigendecompose(l_real, k)
     spectrum, owner = _ideal_spectrum(sizes)
 
     report = _bound(
         lambda x: _ideal_apply(labels, sizes, x),
-        dec_real.eigenvectors[:, :k],
+        dec_real.eigenvectors,
         spectrum,
         k,
         lambda: _ideal_basis(labels, owner[:k]),

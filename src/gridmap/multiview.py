@@ -34,12 +34,12 @@ class MultiViewConfig:
     final_view: str = "voltage"
 
     def validate(self) -> None:
-        if self.lambda_reg < 0:
-            raise InputError("lambda_reg must be nonnegative")
+        if not 0 <= self.lambda_reg < np.inf:
+            raise InputError("lambda_reg must be finite and nonnegative")
         if self.max_outer_iters < 1:
             raise InputError("max_outer_iters must be positive")
-        if self.tol <= 0:
-            raise InputError("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise InputError("tol must be finite and positive")
         if self.final_view not in FINAL_VIEWS:
             raise InputError(f"final_view must be one of {FINAL_VIEWS}")
 

@@ -6,8 +6,9 @@ rows are the natural low-dimensional embedding of the meters. Eigenvector
 signs are fixed deterministically: each vector is flipped, if needed, so
 its largest-magnitude entry (lowest index on ties) is positive.
 
-``embed`` solves only for the eigenpairs 0..k it reads; ``eigendecompose``
-pays for all N.
+Neither caller forms more eigenvectors than it reads: ``embed`` solves only
+for the eigenpairs 0..k, and ``eigendecompose`` returns all N eigenvalues
+but only the eigenvectors it is asked for.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import InputError, NumericalError
 
@@ -22,7 +24,7 @@ from .errors import InputError, NumericalError
 @dataclass
 class EigenDecomposition:
     eigenvalues: np.ndarray     # (N,) ascending
-    eigenvectors: np.ndarray    # (N, N) columns, orthonormal, sign-fixed
+    eigenvectors: np.ndarray    # (N, k) columns, orthonormal, sign-fixed
 
 
 @dataclass
@@ -41,14 +43,16 @@ def fix_signs(vectors: np.ndarray) -> np.ndarray:
     return v
 
 
-def _eigh(matrix, subset=None):
-    """Ascending eigenvalues and sign-fixed eigenvectors of a symmetric
-    matrix, for the index range ``subset = (first, last)`` or all of them.
+def _eigh(matrix, k=None, spectrum=False):
+    """Ascending eigenvalues and the sign-fixed eigenvectors of the k
+    smallest of them (all of them when k is None), for a symmetric matrix.
 
-    The full solve uses LAPACK's divide-and-conquer driver, the one
-    ``numpy.linalg.eigh`` calls, so full spectra match it bit for bit; a
-    subset uses the relatively robust representations driver, the only one
-    that stops after the requested eigenpairs.
+    The bottom-k mode returns only those k eigenvalues, from the relatively
+    robust representations driver, which stops after the requested
+    eigenpairs. The spectrum mode returns all N eigenvalues: one Householder
+    reduction to tridiagonal form, root-free QR for every eigenvalue, and
+    bisection with inverse iteration for the k wanted vectors, which the
+    reduction's reflectors then carry back.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -57,13 +61,17 @@ def _eigh(matrix, subset=None):
         raise NumericalError("matrix has non-finite entries")
     if np.max(np.abs(a - a.T)) > 1e-10 * max(1.0, np.abs(a).max()):
         raise InputError("matrix must be symmetric")
+    n = a.shape[0]
+    k = n if k is None else k
+    if not 1 <= k <= n:
+        raise InputError(f"need 1 <= k <= N eigenvectors, got k={k}, N={n}")
     try:
-        w, v = scipy.linalg.eigh(
-            a,
-            subset_by_index=subset,
-            driver="evd" if subset is None else "evr",
-            check_finite=False,
-        )
+        if spectrum:
+            w, v = _spectrum(a, k)
+        else:
+            w, v = scipy.linalg.eigh(
+                a, subset_by_index=(0, k - 1), driver="evr", check_finite=False
+            )
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     if not np.all(np.isfinite(w)):
@@ -71,9 +79,27 @@ def _eigh(matrix, subset=None):
     return w, fix_signs(v)
 
 
-def eigendecompose(matrix: np.ndarray) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix, ascending eigenvalues."""
-    w, v = _eigh(matrix)
+def _spectrum(a, k):
+    n = a.shape[0]
+    lwork, _ = lapack.dsytrd_lwork(n, lower=1)
+    c, d, e, tau, _ = lapack.dsytrd(a, lower=1, lwork=int(lwork))
+    w = scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="sterf", check_finite=False)
+    _, z = scipy.linalg.eigh_tridiagonal(
+        d, e, select="i", select_range=(0, k - 1), lapack_driver="stebz", check_finite=False
+    )
+    if n > 1:
+        # scipy wraps no dormtr, but with lower=1, Q = diag(1, Q1), and Q1 is
+        # the QR factor whose reflectors dsytrd left below the subdiagonal
+        q1, rest = np.asfortranarray(c[1:, :-1]), z[1:]  # copied once, not per call
+        lwork = lapack.dormqr("L", "N", q1, tau, rest, -1)[1][0]
+        z[1:] = lapack.dormqr("L", "N", q1, tau, rest, int(lwork))[0]
+    return w, z
+
+
+def eigendecompose(matrix: np.ndarray, k: int | None = None) -> EigenDecomposition:
+    """All N eigenvalues of a symmetric matrix, ascending, and the
+    eigenvectors of the k smallest (of all of them when k is None)."""
+    w, v = _eigh(matrix, k, spectrum=True)
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
 
 
@@ -85,7 +111,7 @@ def embed(matrix: np.ndarray, k: int) -> SpectralEmbedding:
     n = np.asarray(matrix).shape[0]
     if not 1 <= k < n:
         raise InputError(f"k must satisfy 1 <= k < N, got k={k}, N={n}")
-    w, v = _eigh(matrix, subset=(0, k))
+    w, v = _eigh(matrix, k + 1)
     return SpectralEmbedding(
         X=v[:, :k].copy(), eigenvalues=w[:k].copy(), next_eigenvalue=float(w[k])
     )

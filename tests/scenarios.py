@@ -49,6 +49,28 @@ def two_cluster_spec(noise: float = 0.0, seed: int = 0) -> FeederSpec:
     )
 
 
+# --- many-transformer degenerate scenario ------------------------------------
+# A noise-free star feeder with 24 transformers. At the explicit width
+# MANY_XFMR_SIGMA the similarity between meters of different transformers
+# underflows while each group stays connected, so the bottom 24 Laplacian
+# eigenvalues are zero to roundoff: one tightly clustered eigenvalue that
+# an eigensolver must still split into an orthonormal frame.
+MANY_XFMR_SIGMA = 2e-5
+
+
+def many_xfmr_spec(seed: int = 3) -> FeederSpec:
+    return FeederSpec(
+        k=24,
+        meters_per_xfmr=5,
+        xfmr_impedance_pu=np.linspace(0.002, 0.006, 24).tolist(),
+        line_resistance_pu=0.0005,
+        T=96,
+        noise_std_pu=0.0,
+        seed=seed,
+        secondary="star",
+    )
+
+
 # --- shrunken-gap feeder scenario ---------------------------------------------
 # Identical transformer impedances leave only the (random) aggregate-load
 # difference to separate the clusters in voltage space, so the voltage view

@@ -473,3 +473,56 @@ def test_sweep_rejects_bad_input(tmp_path):
     assert main(["sweep-noise", "--spec", spec_path,
                  "--noise-grid", "0.0", "--trials", "0",
                  "--out", str(tmp_path / "o")]) == 2
+
+
+def _exit_code(argv):
+    """main's return code, or argparse's exit code for a rejected flag."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("route,flags", [
+    ("cluster", {"sigma": "nan"}),
+    ("cluster", {"sigma": "inf"}),
+    ("cluster", {"config": {"sigma": float("nan")}}),
+    ("cluster", {"method": "multiview", "sigma_l": "nan"}),
+    ("cluster", {"method": "multiview", "lambda": "nan"}),
+    ("cluster", {"method": "multiview", "tol": "nan"}),
+    ("validate-assumption", {"sigma": "nan"}),
+    ("sweep-noise", {"noise_grid": "0.0,nan"}),
+    ("simulate", {"noise_std_pu": float("nan")}),
+    ("simulate", {"xfmr_impedance_pu": [0.004, float("nan")]}),
+    ("simulate", {"line_resistance_pu": float("inf")}),
+    ("simulate", {"T": float("nan")}),
+], ids=["sigma-nan", "sigma-inf", "config-sigma-nan", "sigma-l-nan", "lambda-nan", "tol-nan",
+        "validate-sigma-nan", "noise-grid-nan", "spec-noise-nan", "spec-impedance-nan",
+        "spec-line-inf", "spec-T-nan"])
+def test_non_finite_numbers_exit_2(tmp_path, route, flags):
+    doc = two_cluster_spec(0.0, seed=0).to_json_dict()
+    if route == "simulate":  # the bad number sits in the feeder spec
+        doc.update(flags)
+        flags = {}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    if "config" in flags:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(flags["config"]))
+        flags = {**flags, "config": cfg}
+    if route == "cluster":
+        argv = cluster_args(simulate(tmp_path, two_cluster_spec(0.0, seed=0)), k=2)
+    elif route == "validate-assumption":
+        src = simulate(tmp_path, two_cluster_spec(0.0, seed=0))
+        argv = [route, "--voltages", str(src / "voltages.csv"),
+                "--transformers", str(src / "transformers.csv"),
+                "--ground-truth", str(src / "ground_truth.csv")]
+    else:
+        argv = [route, "--spec", str(spec)]
+        if route == "sweep-noise":
+            argv += ["--trials", "1"]
+    out = tmp_path / "o"
+    for flag, value in {**flags, "out": out}.items():
+        argv += ["--" + flag.replace("_", "-"), str(value)]
+    assert _exit_code(argv) == 2
+    assert not out.exists()

@@ -24,6 +24,43 @@ def test_zero_matrix_has_zero_spectrum():
     assert np.array_equal(dec.eigenvalues, [0.0, 0.0])
 
 
+def test_one_and_two_dimensional_matrices():
+    dec = eigendecompose(np.array([[3.0]]))
+    assert np.array_equal(dec.eigenvalues, [3.0])
+    assert np.array_equal(dec.eigenvectors, [[1.0]])
+    assert np.array_equal(eigendecompose(np.array([[3.0]]), 1).eigenvectors, [[1.0]])
+
+    a = np.array([[2.0, 1.0], [1.0, 2.0]])
+    full = eigendecompose(a)
+    assert np.allclose(full.eigenvalues, [1.0, 3.0], atol=1e-14)
+    # sign-fixed: the first of two tied largest entries is positive
+    assert np.allclose(full.eigenvectors, np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2))
+    bottom = eigendecompose(a, 1)
+    assert np.array_equal(bottom.eigenvalues, full.eigenvalues)
+    assert bottom.eigenvectors.shape == (2, 1)
+    assert np.allclose(bottom.eigenvectors, full.eigenvectors[:, :1], atol=1e-14)
+    for k in (0, 3):
+        with pytest.raises(InputError):
+            eigendecompose(a, k)
+
+
+def test_spectrum_mode_splits_a_tightly_clustered_bottom_spectrum():
+    # 24 transformers, no noise: the bottom 24 eigenvalues are zero to
+    # roundoff, the case where inverse iteration has to reorthogonalize
+    spec = scenarios.many_xfmr_spec()
+    data, _, _ = simulate_voltages(spec, generate_profiles(spec))
+    lap = laplacian(voltage_similarity(data, sigma=scenarios.MANY_XFMR_SIGMA))
+    n, k = lap.shape[0], spec.k
+    dec = eigendecompose(lap, k)
+    w, v = np.linalg.eigh(lap)
+    scale = np.abs(w).max()
+    assert np.max(np.abs(w[:k])) <= 1e-12 * scale < w[k]
+    assert dec.eigenvectors.shape == (n, k)
+    assert np.max(np.abs(dec.eigenvalues - np.linalg.eigvalsh(lap))) <= 1e-12 * scale
+    assert np.max(np.abs(dec.eigenvectors.T @ dec.eigenvectors - np.eye(k))) <= 1e-12
+    assert np.arcsin(canonical_angles(v[:, :k], dec.eigenvectors).sines.max()) <= 1e-8
+
+
 def test_single_block_spectrum():
     for n in range(2, 11):
         w = eigendecompose(ideal_laplacian([n])).eigenvalues
