@@ -38,11 +38,6 @@ from .guarantee import (
     GuaranteeReport,
     canonical_angles,
     certify,
-    check_assumption,
-    eigengap_and_separation,
-    rayleigh_residual,
-    tangent_bound,
-    verify_eigengap_dominance,
 )
 from .ingest import (
     GroundTruth,
@@ -69,7 +64,6 @@ from .spectral import (
     eigendecompose,
     embed,
     fix_signs,
-    trace_objective,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")] + ["recover"]

@@ -310,12 +310,17 @@ def _load_mapping(path):
         meters = doc["meters"]
         ids = sorted(meters)
         labels = np.array([int(meters[m]["cluster"]) for m in ids])
+        k = int(doc["k"]) if "k" in doc else int(labels.max()) + 1
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path} is not a mapping file: {exc}") from exc
+    if labels.size == 0:
+        raise InputError(f"{path} maps no meters")
+    if labels.min() < 0:
+        raise InputError(f"{path}: cluster labels must be nonnegative")
     result = MappingResult(
         labels=labels,
         meter_ids=ids,
-        k=int(doc.get("k", labels.max() + 1)),
+        k=k,
         mapping={m: meters[m].get("transformer") for m in ids},
     )
     return result, doc
@@ -365,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="flat JSON file with option defaults")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory (default: .)")
         p.set_defaults(options=p._actions)  # config values go through the same actions
 
@@ -397,6 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=None)
     p.add_argument("--dump-similarity", metavar="CSV", default=None)
     p.add_argument("--dump-embedding", metavar="CSV", default=None)
+    p.add_argument("--seed", type=int, default=None, help="k-means++ seed")
     common(p)
     p.set_defaults(func=cmd_cluster)
 
@@ -407,6 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None,
                    help="default: number of transformers in the ground truth")
     p.add_argument("--sigma", type=_sigma_arg, default=None)
+    p.add_argument("--seed", type=int, default=None, help="recorded in guarantee.json")
     common(p)
     p.set_defaults(func=cmd_validate)
 
@@ -424,6 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--sigma", type=_sigma_arg, default=None)
     p.add_argument("--restarts", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None,
+                   help="unused: each trial's seed comes from the spec")
     common(p)
     p.set_defaults(func=cmd_sweep)
 

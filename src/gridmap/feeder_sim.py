@@ -59,8 +59,10 @@ class FeederSpec:
     origin_lon_deg: float = -105.0
 
     def __post_init__(self):
-        if isinstance(self.meters_per_xfmr, int):
+        if isinstance(self.meters_per_xfmr, numbers.Number):
             self.meters_per_xfmr = [self.meters_per_xfmr] * self.k
+        if not all(isinstance(n, numbers.Integral) for n in self.meters_per_xfmr):
+            raise InputError(f"meters_per_xfmr must be integers, got {self.meters_per_xfmr!r}")
         self.meters_per_xfmr = [int(n) for n in self.meters_per_xfmr]
         if isinstance(self.xfmr_impedance_pu, (int, float)):
             self.xfmr_impedance_pu = [float(self.xfmr_impedance_pu)] * self.k
@@ -95,6 +97,8 @@ class FeederSpec:
             raise InputError("resistances must be nonnegative")
         if self.T < 2:
             raise InputError("T must be at least 2")
+        if self.substation_voltage_pu <= 0:
+            raise InputError("substation_voltage_pu must be positive")
         if self.seed < 0:
             raise InputError(f"seed must be non-negative, got {self.seed}")
         if self.noise_std_pu < 0 or self.load_noise_pu < 0:
@@ -105,6 +109,10 @@ class FeederSpec:
             raise InputError(f"secondary must be one of {SECONDARY_KINDS}")
         if self.samples_per_day < 1:
             raise InputError("samples_per_day must be positive")
+        if not (-90.0 <= self.origin_lat_deg <= 90.0 and -180.0 <= self.origin_lon_deg <= 180.0):
+            raise InputError("origin must lie in latitude [-90, 90] and longitude [-180, 180]")
+        if self.meter_radius_km < 0 or self.xfmr_spacing_km <= 0:
+            raise InputError("meter_radius_km must be nonnegative and xfmr_spacing_km positive")
         if self.xfmr_locations is not None and self.xfmr_locations.shape != (self.k, 2):
             raise InputError("xfmr_locations must be (k, 2)")
         n = self.n_meters

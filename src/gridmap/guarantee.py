@@ -14,18 +14,14 @@ built from a known meter-to-transformer assignment:
       || tan Theta(X, X~) ||  <=  || R || / s
 
   in both the 2-norm and the Frobenius norm, where Theta are the canonical
-  angles between the approximation and the true subspace. A companion
-  check confirms the plain eigengap (distance from the invariant
-  eigenvalue to the rest of the spectrum) never falls below s.
+  angles between the approximation and the true subspace.
 
 When the Ritz interval touches the rest of the spectrum (s <= 0) there is
 no guarantee and the bound is left unevaluated rather than reported false.
 
 The ideal Laplacian of a reference assignment is block-diagonal with
 blocks n_j I - J, so ``certify`` takes its spectrum, its action and its
-bottom eigenvectors in closed form (``check_assumption`` reads its delta);
-``tangent_bound`` accepts any reference Laplacian and decomposes it. Both
-evaluate the bound through the same routine.
+bottom eigenvectors in closed form and never forms it.
 """
 from __future__ import annotations
 
@@ -112,20 +108,6 @@ def canonical_angles(x1: np.ndarray, x1_tilde: np.ndarray) -> CanonicalAngles:
     )
 
 
-def _residual(x_tilde: np.ndarray, lx: np.ndarray):
-    p = x_tilde.T @ lx
-    return lx - x_tilde @ p, p
-
-
-def rayleigh_residual(lap: np.ndarray, x_tilde: np.ndarray):
-    """Residual R = L X~ - X~ (X~' L X~) and the Rayleigh quotient itself.
-
-    By construction X~' R = 0 (Galerkin orthogonality) up to roundoff.
-    """
-    x_tilde = _check_frame(x_tilde, "x_tilde")
-    return _residual(x_tilde, lap @ x_tilde)
-
-
 def _separation(interval: tuple[float, float], spectrum: np.ndarray) -> float:
     a, b = interval
     if spectrum.size == 0:
@@ -188,8 +170,10 @@ def _bound(apply_l, x_tilde: np.ndarray, spectrum: np.ndarray, k: int, reference
     ``spectrum`` and ``reference()``, an orthonormal basis of that eigenspace
     (built only when the separation is positive)."""
     x_tilde = _check_frame(x_tilde, "x_tilde")
-    r, p = _residual(x_tilde, apply_l(x_tilde))
-    ritz = np.linalg.eigvalsh(0.5 * (p + p.T))  # of the Rayleigh quotient
+    lx = apply_l(x_tilde)
+    p = x_tilde.T @ lx                          # the Rayleigh quotient
+    r = lx - x_tilde @ p                        # x_tilde' r = 0 up to roundoff
+    ritz = np.linalg.eigvalsh(0.5 * (p + p.T))
     interval = (float(ritz[0]), float(ritz[-1]))
     sep = _separation(interval, spectrum[k:])
     report = GuaranteeReport(
@@ -215,73 +199,11 @@ def _bound(apply_l, x_tilde: np.ndarray, spectrum: np.ndarray, k: int, reference
     return report
 
 
-def _check_sizes(k: int, n: int, truth: GroundTruth | None = None) -> None:
+def _check_sizes(k: int, n: int, truth: GroundTruth) -> None:
     if not 1 <= k < n:
         raise InputError(f"k must satisfy 1 <= k < N, got k={k}, N={n}")
-    if truth is not None and truth.labels.shape != (n,):
+    if truth.labels.shape != (n,):
         raise InputError(f"ground truth covers {truth.labels.size} meters, the graph {n}")
-
-
-def check_assumption(real: SimilarityGraph, truth: GroundTruth, k: int) -> tuple[float, bool]:
-    """Gap between the (k+1)-th ideal and k-th measured eigenvalue, and
-    whether it is positive: ``certify``'s delta and verdict.
-
-    Positive delta means the measured Laplacian's k-dimensional bottom
-    subspace is still separated from where the ideal spectrum continues,
-    which is what the perturbation bound needs to say anything.
-    """
-    report = certify(real, truth, k)
-    return report.delta, report.assumption_holds
-
-
-def tangent_bound(l_ideal: np.ndarray, x_tilde: np.ndarray, k: int) -> GuaranteeReport:
-    """Evaluate the tan-Theta perturbation bound for an approximate subspace.
-
-    The reference subspace is the span of the k smallest-eigenvalue
-    eigenvectors of l_ideal. If the Ritz interval of x_tilde overlaps the
-    rest of the ideal spectrum, the report says so (separation 0, bound
-    fields None) instead of claiming anything.
-    """
-    n = l_ideal.shape[0]
-    _check_sizes(k, n)
-    dec = eigendecompose(l_ideal, k)
-    if np.shape(x_tilde) != (n, k):
-        raise InputError(f"x_tilde must be {(n, k)}, got {np.shape(x_tilde)}")
-    return _bound(
-        lambda x: l_ideal @ x, x_tilde, dec.eigenvalues, k, lambda: dec.eigenvectors
-    )
-
-
-def eigengap_and_separation(
-    l_ideal: np.ndarray, x_tilde: np.ndarray, k: int
-) -> tuple[float, float]:
-    """(distance from the invariant eigenvalue to the rest of the ideal
-    spectrum, separation of the Ritz interval from that spectrum), both read
-    from one ``tangent_bound`` report.
-
-    Requires the bottom k ideal eigenvalues to be (numerically) one
-    repeated eigenvalue, and a positive separation; otherwise the
-    comparison is inapplicable and an error is raised.
-    """
-    report = tangent_bound(l_ideal, x_tilde, k)
-    w = report.ideal_eigenvalues
-    lam = float(w[:k].mean())
-    if np.max(np.abs(w[:k] - lam)) > 1e-8 * max(1.0, abs(w).max()):
-        raise InputError("bottom k eigenvalues are not a single repeated eigenvalue")
-    if report.separation <= 0.0:
-        raise InputError("Ritz interval touches the complementary spectrum; no comparison")
-    return float(np.min(np.abs(w[k:] - lam))), report.separation
-
-
-def verify_eigengap_dominance(l_ideal: np.ndarray, x_tilde: np.ndarray, k: int) -> bool:
-    """True when the plain eigengap is at least the Ritz separation.
-
-    The separation degrades with the quality of x_tilde (by 1/cos^2 of the
-    largest canonical angle), so the raw eigengap always dominates it; this
-    confirms that numerically, with 1e-8 slack.
-    """
-    gap, sep = eigengap_and_separation(l_ideal, x_tilde, k)
-    return gap >= sep - 1e-8
 
 
 def certify(real: SimilarityGraph, truth: GroundTruth, k: int) -> GuaranteeReport:

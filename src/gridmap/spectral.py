@@ -116,7 +116,3 @@ def embed(matrix: np.ndarray, k: int) -> SpectralEmbedding:
         X=v[:, :k].copy(), eigenvalues=w[:k].copy(), next_eigenvalue=float(w[k])
     )
 
-
-def trace_objective(matrix: np.ndarray, h: np.ndarray) -> float:
-    """Tr(H' A H), the quantity the embedding minimizes over orthonormal H."""
-    return float(np.trace(h.T @ matrix @ h))

@@ -16,16 +16,11 @@ from gridmap.cluster import evaluate, kmeans_pp
 from gridmap.feeder_sim import generate_profiles, simulate_voltages
 from gridmap.geo import EARTH_RADIUS_KM, euclidean_angle, haversine
 from gridmap.graph import ideal_graph, laplacian, voltage_similarity
-from gridmap.guarantee import (
-    check_assumption,
-    eigengap_and_separation,
-    tangent_bound,
-    verify_eigengap_dominance,
-)
+from gridmap.guarantee import certify
 from gridmap.multiview import MultiViewConfig
 from gridmap.spectral import eigendecompose, embed
 
-import scenarios
+from dense_certificate import IDEAL_456, eigengap_and_separation, symmetric_noise, tangent_bound
 from scenarios import (
     THREE_CLUSTER_NOISE_GRID,
     TWO_CLUSTER_NOISE_GRID,
@@ -139,14 +134,7 @@ def test_criterion_04_trace_optimality():
     )
 
 
-IDEAL_456 = laplacian(ideal_graph(make_truth([4, 5, 6])))
 IDEAL_456_GAP = 4.0
-
-
-def symmetric_noise(rng, n, norm2):
-    a = rng.standard_normal((n, n))
-    sym = 0.5 * (a + a.T)
-    return norm2 * sym / np.linalg.norm(sym, 2)
 
 
 @functools.lru_cache(maxsize=1)
@@ -179,7 +167,7 @@ def test_criterion_06_eigengap_dominates_separation():
     for x_tilde, _ in perturbation_reports():
         gap, sep = eigengap_and_separation(IDEAL_456, x_tilde, 3)
         worst = min(worst, gap - sep)
-        dominated += verify_eigengap_dominance(IDEAL_456, x_tilde, 3)
+        dominated += gap >= sep - 1e-8
 
     theta = 0.3
     l_pair = laplacian(ideal_graph(make_truth([2])))
@@ -205,10 +193,10 @@ def test_criterion_07_assumption_check_tracks_noise():
         deltas = []
         for seed in range(20):
             data, _, truth = simulate(three_cluster_spec(noise, seed=seed))
-            delta, holds = check_assumption(voltage_similarity(data), truth, 3)
-            deltas.append(delta)
+            report = certify(voltage_similarity(data), truth, 3)
+            deltas.append(report.delta)
             if noise == 0.0:
-                low_noise_positive &= holds
+                low_noise_positive &= report.assumption_holds
         medians.append(float(np.median(deltas)))
 
     monotone = all(b <= a + 1e-12 for a, b in zip(medians, medians[1:]))

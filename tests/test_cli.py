@@ -105,6 +105,12 @@ def cluster_args(src, k=None, **extra):
     return argv
 
 
+def evaluate_args(src, mapping):
+    return ["evaluate", "--mapping", str(mapping),
+            "--transformers", str(src / "transformers.csv"),
+            "--ground-truth", str(src / "ground_truth.csv")]
+
+
 def test_cluster_then_evaluate_on_a_clean_feeder(tmp_path):
     out = simulate(tmp_path, two_cluster_spec(0.0, seed=3))
     assert main(cluster_args(out, k=2, seed=0, out=out)) == 0
@@ -116,13 +122,7 @@ def test_cluster_then_evaluate_on_a_clean_feeder(tmp_path):
     assert sorted(doc["meters"]) == [f"m{i:03d}" for i in range(10)]
     assert all(m["transformer"] in ("x0", "x1") for m in doc["meters"].values())
 
-    assert main([
-        "evaluate",
-        "--mapping", str(out / "mapping.json"),
-        "--transformers", str(out / "transformers.csv"),
-        "--ground-truth", str(out / "ground_truth.csv"),
-        "--out", str(out),
-    ]) == 0
+    assert main(evaluate_args(out, out / "mapping.json") + ["--out", str(out)]) == 0
     ev = read_json(out / "evaluation.json")
     assert ev["accuracy"] == 1.0
     assert ev["exact_recovery"] is True
@@ -271,6 +271,43 @@ def test_negative_seed_exits_2(tmp_path, monkeypatch, capsys, route):
     assert main(argv) == 2
     assert "gridmap: error:" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["simulate", "evaluate"])
+@pytest.mark.parametrize("route", ["environment", "flag"])
+def test_simulate_and_evaluate_take_no_seed(tmp_path, monkeypatch, command, route):
+    src = simulate(tmp_path, two_cluster_spec(0.0, seed=0))
+    if command == "simulate":
+        argv = ["simulate", "--spec", write_spec(tmp_path / "spec.json", two_cluster_spec(0.0, 0))]
+    else:
+        assert main(cluster_args(src, k=2, out=src)) == 0
+        argv = evaluate_args(src, src / "mapping.json")
+    out = tmp_path / "o"
+    argv += ["--out", str(out)]
+    if route == "environment":  # a seed the command never uses cannot fail it
+        monkeypatch.setenv("GRIDMAP_SEED", "-1")
+        assert main(argv) == 0
+    else:
+        assert _exit_code(argv + ["--seed", "3"]) == 2
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.update(meters={}),
+    lambda doc: doc.update(k="abc"),
+    lambda doc: doc["meters"]["m000"].update(cluster=-1),
+], ids=["no-meters", "k-as-text", "negative-cluster"])
+def test_malformed_mapping_exits_2(tmp_path, capsys, edit):
+    src = simulate(tmp_path, two_cluster_spec(0.0, seed=0))
+    assert main(cluster_args(src, k=2, out=src)) == 0
+    doc = read_json(src / "mapping.json")
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(evaluate_args(src, bad) + ["--out", str(out)]) == 2
+    assert "gridmap: error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_dump_similarity_and_embedding(tmp_path):

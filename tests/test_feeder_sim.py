@@ -166,7 +166,20 @@ def test_scalar_impedance_broadcasts():
     (dict(T=1), "T must be"),
     (dict(noise_std_pu=-1e-4), "noise"),
     (dict(secondary="ring"), "secondary"),
-], ids=["k0", "len-mismatch", "empty-group", "neg-line", "neg-xfmr", "short", "neg-noise", "ring"])
+    (dict(meters_per_xfmr=[4.7, 4]), "integers"),
+    (dict(meters_per_xfmr=4.0), "integers"),
+    (dict(substation_voltage_pu=-1.0), "substation_voltage_pu"),
+    (dict(substation_voltage_pu=0.0), "substation_voltage_pu"),
+    (dict(origin_lat_deg=100.0), "latitude"),
+    (dict(origin_lat_deg=-90.5), "latitude"),
+    (dict(origin_lon_deg=180.5), "longitude"),
+    (dict(meter_radius_km=-1.0), "meter_radius_km"),
+    (dict(xfmr_spacing_km=0.0), "xfmr_spacing_km"),
+    (dict(xfmr_spacing_km=-1.0), "xfmr_spacing_km"),
+], ids=["k0", "len-mismatch", "empty-group", "neg-line", "neg-xfmr", "short", "neg-noise", "ring",
+        "fractional-count", "float-scalar-count", "neg-substation", "zero-substation",
+        "lat-100", "lat-below-90", "lon-above-180", "neg-radius", "zero-spacing",
+        "neg-spacing"])
 def test_spec_validation(overrides, message):
     with pytest.raises(InputError, match=message):
         small_spec(**overrides)

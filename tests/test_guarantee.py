@@ -5,32 +5,12 @@ import numpy as np
 import pytest
 
 import scenarios
+from dense_certificate import IDEAL_456, eigengap_and_separation, symmetric_noise, tangent_bound
 from gridmap.errors import InputError
 from gridmap.graph import SimilarityGraph, ideal_graph, laplacian, voltage_similarity
-from gridmap.guarantee import (
-    GuaranteeReport,
-    canonical_angles,
-    certify,
-    check_assumption,
-    eigengap_and_separation,
-    rayleigh_residual,
-    tangent_bound,
-    verify_eigengap_dominance,
-)
+from gridmap.guarantee import GuaranteeReport, canonical_angles, certify
 from gridmap.feeder_sim import generate_profiles, simulate_voltages
 from gridmap.spectral import embed, eigendecompose
-
-IDEAL_456 = laplacian(ideal_graph(scenarios.make_truth([4, 5, 6])))
-
-
-def symmetric_noise(rng, n, norm2):
-    a = rng.standard_normal((n, n))
-    sym = 0.5 * (a + a.T)
-    return norm2 * sym / np.linalg.norm(sym, 2)
-
-
-def perturbed_subspace(l_ideal, dl, k):
-    return embed(l_ideal + dl, k).X
 
 
 def perturbed_ideal_graph(truth, norm2, seed):
@@ -84,11 +64,10 @@ def test_frames_must_be_orthonormal():
 
 
 def test_exact_subspace_has_zero_residual():
-    x = embed(IDEAL_456, 3).X
-    r, p = rayleigh_residual(IDEAL_456, x)
-    assert np.max(np.abs(r)) <= 1e-10
+    report = tangent_bound(IDEAL_456, embed(IDEAL_456, 3).X, 3)
+    assert report.residual_norm_2 <= 1e-10
     # Rayleigh quotient reproduces the invariant eigenvalues (all zero here)
-    assert np.allclose(p, 0.0, atol=1e-10)
+    assert np.allclose(report.ritz_interval, 0.0, atol=1e-10)
 
 
 def test_galerkin_orthogonality_is_structural():
@@ -96,8 +75,7 @@ def test_galerkin_orthogonality_is_structural():
     rng = np.random.default_rng(4)
     for _ in range(25):
         q, _ = np.linalg.qr(rng.standard_normal((15, 3)))
-        r, _ = rayleigh_residual(IDEAL_456, q)
-        assert np.max(np.abs(q.T @ r)) <= 1e-10
+        assert tangent_bound(IDEAL_456, q, 3).galerkin_norm <= 1e-10
 
 
 def test_residual_bounded_by_twice_the_perturbation():
@@ -105,10 +83,9 @@ def test_residual_bounded_by_twice_the_perturbation():
     rng = np.random.default_rng(10)
     for _ in range(100):
         dl = symmetric_noise(rng, 8, rng.uniform(0.01, 0.5))
-        x_tilde = perturbed_subspace(l_ideal, dl, 2)
-        r, _ = rayleigh_residual(l_ideal, x_tilde)
+        x_tilde = embed(l_ideal + dl, 2).X
         norm_dl = np.linalg.norm(dl, 2)
-        assert np.linalg.norm(r, 2) <= 2.0 * norm_dl + 1e-12
+        assert tangent_bound(l_ideal, x_tilde, 2).residual_norm_2 <= 2.0 * norm_dl + 1e-12
 
 
 def test_exact_null_basis_meets_the_bound_at_zero():
@@ -127,7 +104,7 @@ def test_bound_holds_for_small_perturbations():
     delta_ideal = 4.0
     for _ in range(100):
         dl = symmetric_noise(rng, 15, rng.uniform(0.0, 0.1) * delta_ideal)
-        x_tilde = perturbed_subspace(IDEAL_456, dl, 3)
+        x_tilde = embed(IDEAL_456 + dl, 3).X
         report = tangent_bound(IDEAL_456, x_tilde, 3)
         assert report.separation is not None and report.separation > 0.0
         assert report.bound_holds_2
@@ -140,7 +117,7 @@ def test_overlapping_ritz_interval_gives_no_guarantee():
     scale = 0.5
     while scale <= 64.0:
         dl = symmetric_noise(rng, 15, scale)
-        x_tilde = perturbed_subspace(IDEAL_456, dl, 3)
+        x_tilde = embed(IDEAL_456 + dl, 3).X
         report = tangent_bound(IDEAL_456, x_tilde, 3)
         if report.separation <= 0.0:
             assert report.bound_holds_2 is None
@@ -153,9 +130,9 @@ def test_overlapping_ritz_interval_gives_no_guarantee():
 
 def test_assumption_on_ideal_graph():
     truth = scenarios.make_truth([4, 5, 6])
-    delta, holds = check_assumption(ideal_graph(truth), truth, 3)
-    assert delta == pytest.approx(4.0, abs=1e-8)
-    assert holds
+    report = certify(ideal_graph(truth), truth, 3)
+    assert report.delta == pytest.approx(4.0, abs=1e-8)
+    assert report.assumption_holds
 
 
 def test_assumption_under_small_graph_perturbation():
@@ -163,17 +140,17 @@ def test_assumption_under_small_graph_perturbation():
     # shrink by at most that much
     truth = scenarios.make_truth([4, 5, 6])
     g = perturbed_ideal_graph(truth, 0.01, seed=11)
-    delta, holds = check_assumption(g, truth, 3)
-    assert 3.9 < delta < 4.0
-    assert holds
+    report = certify(g, truth, 3)
+    assert 3.9 < report.delta < 4.0
+    assert report.assumption_holds
 
 
 def test_assumption_fails_when_clusters_merge():
     truth = scenarios.make_truth([2, 2])
     all_ones = SimilarityGraph(matrix=np.ones((4, 4)), sigma=1.0, kind="voltage")
-    delta, holds = check_assumption(all_ones, truth, 2)
-    assert delta == pytest.approx(-2.0, abs=1e-8)
-    assert not holds
+    report = certify(all_ones, truth, 2)
+    assert report.delta == pytest.approx(-2.0, abs=1e-8)
+    assert not report.assumption_holds
 
 
 def test_planted_rotation_separation_ratio():
@@ -189,7 +166,7 @@ def test_planted_rotation_separation_ratio():
     gap, sep = eigengap_and_separation(l_pair, x_tilde, 1)
     assert gap == pytest.approx(2.0, abs=1e-12)
     assert gap / sep == pytest.approx(1.0 / math.cos(theta) ** 2, rel=1e-6)
-    assert verify_eigengap_dominance(l_pair, x_tilde, 1)
+    assert gap >= sep - 1e-8
 
 
 def test_exact_subspace_attains_the_separation():
@@ -203,8 +180,9 @@ def test_dominance_across_random_perturbations():
     rng = np.random.default_rng(42)
     for _ in range(100):
         dl = symmetric_noise(rng, 15, rng.uniform(0.0, 0.2) * 4.0)
-        x_tilde = perturbed_subspace(IDEAL_456, dl, 3)
-        assert verify_eigengap_dominance(IDEAL_456, x_tilde, 3)
+        x_tilde = embed(IDEAL_456 + dl, 3).X
+        gap, sep = eigengap_and_separation(IDEAL_456, x_tilde, 3)
+        assert gap >= sep - 1e-8
 
 
 def test_dominance_requires_degenerate_bottom():
@@ -240,9 +218,7 @@ def test_k_bounds_everywhere():
     truth = scenarios.make_truth([2, 2])
     g = ideal_graph(truth)
     with pytest.raises(InputError):
-        check_assumption(g, truth, 0)
-    with pytest.raises(InputError):
-        check_assumption(g, truth, 4)
+        certify(g, truth, 0)
     with pytest.raises(InputError):
         tangent_bound(laplacian(g), np.eye(4)[:, :1], 0)
     with pytest.raises(InputError):
@@ -252,9 +228,8 @@ def test_k_bounds_everywhere():
 def test_ground_truth_must_cover_the_graph():
     g = ideal_graph(scenarios.make_truth([2, 2]))
     truth = scenarios.make_truth([3, 3])
-    for check in (check_assumption, certify):
-        with pytest.raises(InputError, match="covers 6 meters, the graph 4"):
-            check(g, truth, 2)
+    with pytest.raises(InputError, match="covers 6 meters, the graph 4"):
+        certify(g, truth, 2)
 
 
 def dense_certify(g, truth, k):
@@ -300,4 +275,3 @@ def test_closed_form_certificate_equals_the_decomposed_one(case, k, bounded):
     assert_reports_equal(report, dense_certify(g, truth, k))
     assert (report.separation > 0.0) == bounded
     assert (report.bound_holds_2 is not None) == bounded
-    assert check_assumption(g, truth, k) == (report.delta, report.assumption_holds)
