@@ -12,6 +12,8 @@ eigengap and subspace-perturbation certificates.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .cluster import (
     EvalReport,
     KMeansResult,
@@ -66,7 +68,10 @@ from .spectral import (
     fix_signs,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")] + ["recover"]
+__all__ = [
+    name for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+] + ["recover"]
 
 
 def __getattr__(name):

@@ -300,6 +300,12 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _json_int(value, what):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _load_mapping(path):
     try:
         with open(path) as fh:
@@ -309,8 +315,8 @@ def _load_mapping(path):
     try:
         meters = doc["meters"]
         ids = sorted(meters)
-        labels = np.array([int(meters[m]["cluster"]) for m in ids])
-        k = int(doc["k"]) if "k" in doc else int(labels.max()) + 1
+        labels = np.array([_json_int(meters[m]["cluster"], f"cluster of {m!r}") for m in ids])
+        k = _json_int(doc["k"], "k") if "k" in doc else int(labels.max()) + 1
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path} is not a mapping file: {exc}") from exc
     if labels.size == 0:

@@ -118,6 +118,30 @@ class FeederSpec:
         n = self.n_meters
         if self.meter_locations is not None and self.meter_locations.shape != (n, 2):
             raise InputError("meter_locations must be (N, 2)")
+        self._check_placement()
+
+    def _check_placement(self) -> None:
+        """Every coordinate the simulator can write must pass the loader's ranges."""
+        xfmrs = self.xfmr_locations if self.xfmr_locations is not None else _xfmr_grid(self)
+        if self.meter_locations is not None:
+            meters = self.meter_locations
+        else:
+            # a meter lands within meter_radius_km of its transformer; these are
+            # the extremes of _grid_locations' offsets, computed the same way
+            meters = []
+            dlat = self.meter_radius_km / EARTH_RADIUS_KM
+            for lat, lon in xfmrs:
+                dlon = self.meter_radius_km / (EARTH_RADIUS_KM * math.cos(lat))
+                meters += [(lat - dlat, lon - dlon), (lat + dlat, lon + dlon)]
+        for what, coords in (("transformer", xfmrs), ("meter", meters)):
+            for lat, lon in coords:
+                lat_deg, lon_deg = math.degrees(lat), math.degrees(lon)
+                if not (-90.0 <= lat_deg <= 90.0 and -180.0 <= lon_deg <= 180.0):
+                    raise InputError(
+                        f"a {what} would be placed at latitude {lat_deg!r}, longitude "
+                        f"{lon_deg!r}, outside [-90, 90] x [-180, 180]; move the origin "
+                        f"or shrink the layout"
+                    )
 
     def labels(self) -> np.ndarray:
         """Transformer index of each meter, groups laid out contiguously."""
@@ -212,16 +236,22 @@ def generate_profiles(spec: FeederSpec) -> LoadProfileSet:
     return LoadProfileSet(loads=loads, labels=labels, floor=spec.der_injection_pu)
 
 
-def _grid_locations(spec: FeederSpec, rng) -> tuple[np.ndarray, np.ndarray]:
+def _xfmr_grid(spec: FeederSpec) -> np.ndarray:
+    """Transformers due east of the origin, xfmr_spacing_km apart (radians)."""
     lat0 = math.radians(spec.origin_lat_deg)
     lon0 = math.radians(spec.origin_lon_deg)
+    xfmr_loc = np.empty((spec.k, 2))
+    dlon = spec.xfmr_spacing_km / (EARTH_RADIUS_KM * math.cos(lat0))
+    for j in range(spec.k):
+        xfmr_loc[j] = (lat0, lon0 + j * dlon)
+    return xfmr_loc
+
+
+def _grid_locations(spec: FeederSpec, rng) -> tuple[np.ndarray, np.ndarray]:
     if spec.xfmr_locations is not None:
         xfmr_loc = spec.xfmr_locations.copy()
     else:
-        xfmr_loc = np.empty((spec.k, 2))
-        dlon = spec.xfmr_spacing_km / (EARTH_RADIUS_KM * math.cos(lat0))
-        for j in range(spec.k):
-            xfmr_loc[j] = (lat0, lon0 + j * dlon)
+        xfmr_loc = _xfmr_grid(spec)
     if spec.meter_locations is not None:
         meter_loc = spec.meter_locations.copy()
     else:

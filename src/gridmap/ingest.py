@@ -14,18 +14,28 @@ Missing samples are filled per meter by linear interpolation over the sample
 index, holding the nearest observed value at the ends. A meter missing more
 than 20 percent of its samples is dropped with a warning instead of imputed.
 
-Every file is streamed through ``csv.reader`` one row at a time. A voltage
-row is converted in one call and goes through the per-cell parser only when
-that fails or yields a non-finite value, so the panel costs about one N x T
-float64 array in memory. Unreadable files, undecodable bytes and malformed
-CSV raise InputError, as do bad cells; the first bad row in file order
-decides the error.
+Every file is streamed one line at a time. The voltage panel's numeric
+block is parsed by one ``np.loadtxt`` call fed from a generator over the
+open file: the generator splits off each meter id, writes empty cells as
+``nan`` and counts them, and refuses a line that is blank, has the wrong
+number of fields or holds a character that numpy reads as a separator but
+``float`` does not. That result is kept only if it has one row per line, a
+NaN for each empty cell and nothing else non-finite. Otherwise the file is
+parsed again one cell at a time with ``float``, the reference, which decides
+every error message. Quoted numeric cells, digits with underscores and
+non-ASCII digits take that path; every panel save_dataset writes, quoted
+ids and empty cells included, does not. Either way the panel costs about one
+N x T float64 array in memory. Unreadable files, undecodable bytes and
+malformed CSV raise InputError, as do bad cells; the first bad row in file
+order decides the error.
 """
 from __future__ import annotations
 
 import array
 import csv
+import itertools
 import math
+import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -35,6 +45,11 @@ import numpy as np
 from .errors import InputError
 
 MAX_MISSING_FRACTION = 0.2
+
+# numpy's float parser strips these as whitespace; float() rejects them
+_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+# a quoted id as csv.writer writes it, followed by the first delimiter
+_QUOTED_ID = re.compile(r'"((?:[^"]|"")*)",')
 
 
 @dataclass
@@ -84,18 +99,17 @@ class GroundTruth:
 
 
 @contextmanager
-def _csv_rows(path):
-    """Open a CSV file and yield its header row and a reader over the rest.
+def _csv_file(path):
+    """Open a CSV file and yield its header row and the file, positioned after it.
 
     The file is closed on leaving the block, also when a row raises.
     """
     try:
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
+            header = next(csv.reader(fh), None)
             if header is None:
                 raise InputError(f"{path}: empty file")
-            yield header, reader
+            yield header, fh
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
@@ -112,32 +126,91 @@ def _parse_float(cell: str, path, what: str) -> float:
     return value
 
 
-def _parse_voltages(cells: list[str], path) -> np.ndarray:
-    """One meter's samples as float64, with NaN for empty cells.
+def _loadtxt_panel(fh, t: int):
+    """The ids and (n, t) samples of the rows left in ``fh``, or None.
 
-    ``float`` is what _parse_float calls, so the one-call conversion accepts
-    exactly what the per-cell loop accepts; the loop runs only to mark empty
-    cells or to raise the error for the first bad one.
+    One np.loadtxt call parses every row; empty cells come back as NaN.
+    None means _per_cell_panel must decide: a line was refused, loadtxt
+    raised, or the result holds a NaN or infinity that no empty cell
+    explains.
     """
+    ids: list[str] = []
+    n_empty = 0
+    limit = csv.field_size_limit()
+
+    def numeric_rows():
+        nonlocal n_empty
+        for line in fh:
+            line = line.rstrip("\r\n")
+            if line.startswith('"'):
+                quoted = _QUOTED_ID.match(line)
+                if quoted is None:
+                    raise ValueError("quoted id left to the per-cell parser")
+                meter_id, cells = quoted[1].replace('""', '"'), line[quoted.end():]
+            else:
+                meter_id, _, cells = line.partition(",")
+            if (
+                not line
+                or cells.count(",") != t - 1
+                or any(c in cells for c in _NUMPY_ONLY_SPACE)
+                # csv.reader rejects a field longer than its limit
+                or len(meter_id) > limit
+                or (len(cells) > limit and max(map(len, cells.split(","))) > limit)
+            ):
+                raise ValueError("line left to the per-cell parser")
+            if cells.startswith(",") or cells.endswith(",") or ",," in cells:
+                # one pass fills every other cell of a run of empty ones
+                filled = f",{cells},".replace(",,", ",nan,").replace(",,", ",nan,")
+                n_empty += (len(filled) - len(cells) - 2) // 3
+                cells = filled[1:-1]
+            ids.append(meter_id)
+            yield cells
+
+    rows = numeric_rows()
     try:
-        row = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+        first = next(rows, None)
+        if first is None:   # loadtxt would warn that it read no data
+            return None
+        volts = np.loadtxt(
+            itertools.chain([first], rows), delimiter=",", comments=None, dtype=float, ndmin=2
+        )
     except ValueError:
-        pass
-    else:
-        if np.isfinite(row).all():
-            return row
-    return np.array(
-        [math.nan if cell == "" else _parse_float(cell, path, "voltage") for cell in cells]
-    )
+        return None
+    # the NaNs written for empty cells must be the only non-finite values
+    if volts.shape != (len(ids), t) or np.isfinite(volts).sum() != volts.size - n_empty:
+        return None
+    return ids, volts
+
+
+def _per_cell_panel(rows, t: int, path):
+    """The ids and (n, t) samples of ``rows``, parsed one cell at a time.
+
+    The reference for _loadtxt_panel: it raises the error for the first bad
+    row in file order.
+    """
+    ids: list[str] = []
+    # grows in place, so the parsed panel is held once
+    samples = array.array("d")
+    for row in rows:
+        if len(row) != t + 1:
+            raise InputError(
+                f"{path}: row for {row[0] if row else '?'!r} has "
+                f"{len(row) - 1} samples, expected {t}"
+            )
+        ids.append(row[0])
+        samples.extend(
+            math.nan if cell == "" else _parse_float(cell, path, "voltage") for cell in row[1:]
+        )
+    return ids, np.frombuffer(samples, dtype=float).reshape(len(ids), t)
 
 
 def _load_coords(path) -> tuple[list[str], np.ndarray]:
-    with _csv_rows(path) as (header, rows):
+    with _csv_file(path) as (header, fh):
         if len(header) != 3:
             raise InputError(f"{path}: expected 3 columns, got {len(header)}")
         ids: list[str] = []
         coords = []
-        for row in rows:
+        for row in csv.reader(fh):
             if len(row) != 3:
                 raise InputError(f"{path}: row with {len(row)} cells, expected 3")
             ids.append(row[0])
@@ -160,27 +233,19 @@ def load_dataset(voltages_path, locations_path=None) -> MeterDataset:
     been linearly interpolated per meter, and meters with more than 20
     percent of samples missing have been dropped (a UserWarning names them).
     """
-    with _csv_rows(voltages_path) as (header, rows):
+    with _csv_file(voltages_path) as (header, fh):
         if len(header) < 3:
             raise InputError(f"{voltages_path}: need at least two sample columns")
         timestamps = header[1:]
         t = len(timestamps)
-
-        ids: list[str] = []
-        # grows in place, so the parsed panel is held once
-        samples = array.array("d")
-        for row in rows:
-            if len(row) != t + 1:
-                raise InputError(
-                    f"{voltages_path}: row for {row[0] if row else '?'!r} has "
-                    f"{len(row) - 1} samples, expected {t}"
-                )
-            ids.append(row[0])
-            samples.frombytes(_parse_voltages(row[1:], voltages_path).tobytes())
+        panel = _loadtxt_panel(fh, t)
+    if panel is None:
+        with _csv_file(voltages_path) as (_, fh):
+            panel = _per_cell_panel(csv.reader(fh), t, voltages_path)
+    ids, volts = panel
     if len(set(ids)) != len(ids):
         raise InputError(f"{voltages_path}: duplicate meter ids")
 
-    volts = np.frombuffer(samples, dtype=float).reshape(len(ids), t)
     missing = np.isnan(volts)
     keep = missing.mean(axis=1) <= MAX_MISSING_FRACTION
     dropped = [m for m, ok in zip(ids, keep) if not ok]
@@ -247,10 +312,10 @@ def load_ground_truth(path, meters, xfmrs: TransformerSet) -> GroundTruth:
     """
     meter_ids = list(meters.meter_ids) if hasattr(meters, "meter_ids") else list(meters)
     mapping: dict[str, str] = {}
-    with _csv_rows(path) as (header, rows):
+    with _csv_file(path) as (header, fh):
         if len(header) != 2:
             raise InputError(f"{path}: expected 2 columns, got {len(header)}")
-        for row in rows:
+        for row in csv.reader(fh):
             if len(row) != 2:
                 raise InputError(f"{path}: row with {len(row)} cells, expected 2")
             if row[0] in mapping:

@@ -296,7 +296,11 @@ def test_simulate_and_evaluate_take_no_seed(tmp_path, monkeypatch, command, rout
     lambda doc: doc.update(meters={}),
     lambda doc: doc.update(k="abc"),
     lambda doc: doc["meters"]["m000"].update(cluster=-1),
-], ids=["no-meters", "k-as-text", "negative-cluster"])
+    lambda doc: doc["meters"]["m000"].update(cluster=1.9),
+    lambda doc: doc["meters"]["m000"].update(cluster=True),
+    lambda doc: doc.update(k=2.7),
+], ids=["no-meters", "k-as-text", "negative-cluster", "fractional-cluster", "bool-cluster",
+        "fractional-k"])
 def test_malformed_mapping_exits_2(tmp_path, capsys, edit):
     src = simulate(tmp_path, two_cluster_spec(0.0, seed=0))
     assert main(cluster_args(src, k=2, out=src)) == 0

@@ -176,10 +176,15 @@ def test_scalar_impedance_broadcasts():
     (dict(meter_radius_km=-1.0), "meter_radius_km"),
     (dict(xfmr_spacing_km=0.0), "xfmr_spacing_km"),
     (dict(xfmr_spacing_km=-1.0), "xfmr_spacing_km"),
+    # in range themselves, but the grid east of them is not
+    (dict(origin_lon_deg=179.99), "would be placed at latitude 40.0, longitude 180.00"),
+    (dict(origin_lat_deg=89.9999), "would be placed at latitude 89.9999, longitude 5"),
+    (dict(origin_lat_deg=-89.99999, k=1, meters_per_xfmr=[3], xfmr_impedance_pu=[0.004]),
+     "a meter would be placed at latitude -90.000"),
 ], ids=["k0", "len-mismatch", "empty-group", "neg-line", "neg-xfmr", "short", "neg-noise", "ring",
         "fractional-count", "float-scalar-count", "neg-substation", "zero-substation",
         "lat-100", "lat-below-90", "lon-above-180", "neg-radius", "zero-spacing",
-        "neg-spacing"])
+        "neg-spacing", "grid-past-180", "grid-near-pole", "meters-past-pole"])
 def test_spec_validation(overrides, message):
     with pytest.raises(InputError, match=message):
         small_spec(**overrides)

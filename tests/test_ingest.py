@@ -1,10 +1,12 @@
 import csv
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from gridmap import ingest
 from gridmap.errors import InputError
 from gridmap.ingest import (
     MAX_MISSING_FRACTION,
@@ -158,12 +160,105 @@ def test_meter_with_too_many_gaps_is_dropped(tmp_path):
     ("meter_id,t0,t1\na,1.0,-inf\nb,1.0,1.0\n", "non-finite voltage value '-inf'"),
     # the first bad row in file order decides the error
     ("meter_id,t0,t1\na,1.0,nan\nb,1.0,oops\n", "non-finite voltage value 'nan'"),
+    # refused by the loadtxt parse; the per-cell parse words the error
+    ("meter_id,t0,t1\na,1.0,1.0\n\nb,1.0,1.0\n",
+     re.escape("row for '?' has -1 samples, expected 2") + "$"),
+    ("meter_id,t0,t1\na,1.0,1.0,\nb,1.0,1.0\n",
+     re.escape("row for 'a' has 3 samples, expected 2") + "$"),
+    ("meter_id,t0,t1\na,1.0, \nb,1.0,1.0\n", re.escape("bad voltage value ' '") + "$"),
+    ("meter_id,t0,t1,t2,t3,t4\na,1.0,,nan,1.0,1.0\nb,1.0,1.0,1.0,1.0,1.0\n",
+     re.escape("non-finite voltage value 'nan'") + "$"),
+    ("meter_id,t0,t1\na,1.0,1e400\nb,1.0,1.0\n", re.escape("non-finite voltage value '1e400'") + "$"),
+    # numpy strips \x1c-\x1f as whitespace, float() does not
+    ("meter_id,t0,t1\na,1.0,\x1c1.0\nb,1.0,1.0\n", re.escape("bad voltage value '\\x1c1.0'") + "$"),
+    ('meter_id,t0,t1\n"a,1.0,1.0\nb,1.0,1.0\n',
+     re.escape("row for 'a,1.0,1.0\\nb,1.0,1.0\\n' has 0 samples, expected 2") + "$"),
+    # csv.reader's field size limit holds for the loadtxt parse too
+    ("meter_id,t0,t1\na,1.0,1." + "0" * 131071 + "\nb,1.0,1.0\n",
+     re.escape("malformed CSV: field larger than field limit (131072)") + "$"),
+    ("meter_id,t0,t1\n" + "a" * 131073 + ",1.0,1.0\nb,1.0,1.0\n",
+     re.escape("malformed CSV: field larger than field limit (131072)") + "$"),
 ], ids=["dup-id", "one-meter", "header-only", "ragged", "too-high", "negative", "inf", "garbage",
-        "minus-inf", "nan-before-garbage"])
+        "minus-inf", "nan-before-garbage", "blank-line", "extra-field", "whitespace-cell",
+        "nan-beside-empty", "overflow", "numpy-only-space", "unterminated-id", "long-cell",
+        "long-id"])
 def test_bad_voltage_files_rejected(tmp_path, body, message):
     path = _write(tmp_path / "v.csv", body)
     with pytest.raises(InputError, match=message):
         load_dataset(path)
+
+
+_SAMPLES = ["1.0", "0.998", "1.002", "0.9951", "1.0049", "0.97", "1.03", "0.9999", "1.0001", "1.01"]
+
+
+def _row(meter_id, edits=None):
+    """A row of the ten _SAMPLES with the cells at the given columns replaced."""
+    cells = list(_SAMPLES)
+    for j, cell in (edits or {}).items():
+        cells[j] = cell
+    return ",".join([meter_id, *cells])
+
+
+_ROWS = [_row("a"), _row("b", {3: "0.991"}), _row("c", {9: "1.011"})]
+
+
+@pytest.mark.parametrize("rows,newline,final", [
+    (_ROWS, "\n", True),
+    (_ROWS, "\r\n", True),
+    (_ROWS, "\r", True),
+    (_ROWS, "\r\n", False),
+    ([_row("a", {0: ""}), _row("b", {4: ""}), _row("c", {9: ""})], "\r\n", True),
+    # b misses 30% of its samples and is dropped
+    ([_row("a", {0: "", 1: ""}), _row("b", {3: "", 4: "", 5: ""}), _row("c", {0: "", 9: ""})],
+     "\r\n", True),
+    ([_row("a", {0: " 1.0", 1: "0.998 "}), _row("b", {2: "\t1.002\t"}), _row("c")], "\n", True),
+    ([_row("a", {0: "+1.0", 1: ".5", 2: "1."}), _row("b"), _row("c", {9: "1.e-0"})], "\n", True),
+    ([_row("a", {4: "0.9_9"}), _row("b"), _row("c")], "\n", True),
+    ([_row("a", {4: "\u0661.\u0660"}), _row("b"), _row("c")], "\n", True),
+    ([_row("a", {4: '"0.99"'}), _row("b"), _row("c")], "\n", True),
+    ([_row('"m1,west"'), _row('"say ""hi"""', {0: ""}), _row("c")], "\r\n", True),
+], ids=["lf", "crlf", "cr", "no-final-newline", "empty-start-middle-end", "empty-runs", "padded",
+        "signs-and-dots", "underscore", "non-ascii-digits", "quoted-cell", "quoted-id"])
+def test_parse_matches_the_per_cell_reference(tmp_path, rows, newline, final):
+    header = ",".join(["meter_id", *(f"t{j}" for j in range(len(_SAMPLES)))])
+    path = tmp_path / "v.csv"
+    path.write_text(newline.join([header, *rows]) + (newline if final else ""), newline="")
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")
+        ds = load_dataset(str(path))
+    ids, volts, n_imputed, dropped = _per_cell_load(path)
+    assert ds.meter_ids == ids
+    assert ds.timestamps == header.split(",")[1:]
+    assert ds.voltages.tobytes() == volts.tobytes()
+    assert (ds.n_imputed, ds.dropped) == (n_imputed, dropped)
+
+
+def test_saved_panels_take_the_loadtxt_parse(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("panel left to the per-cell parser")
+
+    monkeypatch.setattr(ingest, "_per_cell_panel", refuse)
+    ds = _random_dataset(5, n=6, t=40, with_locations=False)
+    clean, blanked, quoted = (tmp_path / f"{name}.csv" for name in ("clean", "blanked", "quoted"))
+    save_dataset(ds, clean)
+    with open(clean, newline="") as fh:
+        rows = list(csv.reader(fh))
+    # row -> sample columns left empty: a run, the first and the last cell
+    for i, cols in {1: [5, 6], 3: [0], 4: [39, 20]}.items():
+        for j in cols:
+            rows[i + 1][j + 1] = ""
+    with open(blanked, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    ds.meter_ids[2] = 'm2,"west"'
+    save_dataset(ds, quoted)
+    for path in (clean, blanked, quoted):
+        back = load_dataset(str(path))
+        ids, volts, n_imputed, dropped = _per_cell_load(path)
+        assert back.meter_ids == ids
+        assert back.voltages.tobytes() == volts.tobytes()
+        assert (back.n_imputed, back.dropped) == (n_imputed, dropped)
+    assert back.meter_ids[2] == 'm2,"west"'
+    assert load_dataset(str(blanked)).n_imputed == 5
 
 
 def test_locations_must_cover_all_meters(tmp_path):

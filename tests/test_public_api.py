@@ -8,13 +8,12 @@ PUBLIC = [
     "KMeansResult", "LoadProfileSet", "MappingResult", "MeterDataset", "MultiViewConfig",
     "MultiViewState", "NumericalError", "SimilarityGraph", "SpectralEmbedding",
     "TransformerSet", "assign_transformers", "attach_transformers", "canonical_angles",
-    "certify", "cluster", "combined_laplacian", "disagreement", "eigendecompose", "embed",
-    "errors", "euclidean_angle", "evaluate", "feeder_sim", "fix_signs", "generate_profiles",
-    "geo", "graph", "guarantee", "haversine", "ideal_graph", "ingest", "joint_objective",
-    "kmeans_pp", "laplacian", "load_dataset", "load_ground_truth", "load_transformers",
-    "location_similarity", "median_pairwise", "multiview", "pairwise_geo", "recover",
+    "certify", "combined_laplacian", "disagreement", "eigendecompose", "embed",
+    "euclidean_angle", "evaluate", "fix_signs", "generate_profiles", "haversine", "ideal_graph",
+    "joint_objective", "kmeans_pp", "laplacian", "load_dataset", "load_ground_truth",
+    "load_transformers", "location_similarity", "median_pairwise", "pairwise_geo", "recover",
     "save_dataset", "save_ground_truth", "save_transformers", "simulate_voltages",
-    "solve_multiview", "spectral", "voltage_similarity",
+    "solve_multiview", "voltage_similarity",
 ]
 
 
