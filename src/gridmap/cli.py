@@ -323,6 +323,13 @@ def _load_mapping(path):
         raise InputError(f"{path} maps no meters")
     if labels.min() < 0:
         raise InputError(f"{path}: cluster labels must be nonnegative")
+    # evaluate sizes its confusion matrix from these; one meter per cluster
+    # (k = N) is the most a clustering can produce
+    if k > labels.size:
+        raise InputError(f"{path}: k = {k} exceeds the {labels.size} meters mapped")
+    if labels.max() >= labels.size:
+        raise InputError(f"{path}: cluster label {labels.max()} is not below the "
+                         f"{labels.size} meters mapped")
     result = MappingResult(
         labels=labels,
         meter_ids=ids,

@@ -3,6 +3,20 @@
 Clustering runs on embedding rows (or raw voltage rows for the baseline).
 Each restart draws from its own seeded substream, so results are
 reproducible and adding restarts can only improve the selected inertia.
+
+Both inner loops are array operations that give the same bits as the
+row-by-row loops kept in ``tests/reference_kmeans.py``:
+
+- Seeding takes each pick's squared distances as |x|^2 - 2 x.c + |c|^2, one
+  matrix-vector product. Where that cancels (at most 1e-6 (|x|^2 + |c|^2))
+  the rows are recomputed from differences, so points on or next to a
+  centroid keep the exact weights the loop gives them. The pick is the
+  cumulative-sum search that ``Generator.choice`` makes from one
+  ``rng.random()`` draw, so the random stream and every pick are unchanged.
+- Lloyd's update groups the rows by label with one stable sort. Each
+  centroid is the axis-0 sum of its group's slice over the count: the
+  same rows in the same order as ``points[labels == c].mean(axis=0)``.
+
 Clusters are then tied to physical transformers through their members'
 mean coordinates, and label quality is scored against the reference
 assignment under the best one-to-one label matching.
@@ -49,51 +63,78 @@ class EvalReport:
     n_meters: int
 
 
-def _seed_distances(points, centroid):
-    d = points - centroid
-    return np.einsum("ij,ij->i", d, d)
+def _draw(p: np.ndarray, rng) -> int:
+    """``rng.choice(p.size, p=p)``: the same index from the same single
+    ``rng.random()`` draw, without choice's validation of ``p``."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def _sq_distances(points: np.ndarray, norms: np.ndarray, i) -> np.ndarray:
+    """Squared distances from every row of ``points`` to row ``i``.
+
+    |x|^2 - 2 x.c + |c|^2 is one matrix-vector product, but it cancels when
+    x is near c; rows where it gives at most 1e-6 (|x|^2 + |c|^2) are taken
+    from differences instead, so duplicates of c score exactly 0.
+    """
+    d = norms - 2.0 * (points @ points[i]) + norms[i]
+    near = d <= 1e-6 * (norms + norms[i])
+    if near.any():
+        diff = points[near] - points[i]
+        d[near] = np.einsum("ij,ij->i", diff, diff)
+    return d
 
 
 def _plusplus_seed(points: np.ndarray, k: int, rng) -> np.ndarray:
     n = points.shape[0]
+    norms = np.einsum("ij,ij->i", points, points)
     centroids = np.empty((k, points.shape[1]))
-    centroids[0] = points[rng.integers(n)]
-    dist_sq = _seed_distances(points, centroids[0])
+    idx = rng.integers(n)
+    centroids[0] = points[idx]
+    dist_sq = _sq_distances(points, norms, idx)
     for c in range(1, k):
         total = dist_sq.sum()
         if total > 0.0:
-            idx = rng.choice(n, p=dist_sq / total)
+            idx = _draw(dist_sq / total, rng)
         else:
             idx = rng.integers(n)  # all remaining points coincide with a centroid
         centroids[c] = points[idx]
-        dist_sq = np.minimum(dist_sq, _seed_distances(points, centroids[c]))
+        dist_sq = np.minimum(dist_sq, _sq_distances(points, norms, idx))
     return centroids
 
 
 def _lloyd(points, centroids):
     n, k = points.shape[0], centroids.shape[0]
+    norms = np.einsum("ij,ij->i", points, points)[:, None]
+    twice = 2.0 * points
+    rows = np.arange(n)
     prev_inertia = np.inf
     labels = np.zeros(n, dtype=int)
     n_iter = 0
     for n_iter in range(1, MAX_ITER + 1):
-        sq = (
-            np.einsum("ij,ij->i", points, points)[:, None]
-            - 2.0 * points @ centroids.T
-            + np.einsum("ij,ij->i", centroids, centroids)[None, :]
-        )
+        # |x|^2 - 2 x.c + |c|^2, built in place in the product's buffer
+        sq = twice @ centroids.T
+        np.subtract(norms, sq, out=sq)
+        sq += np.einsum("ij,ij->i", centroids, centroids)
         labels = sq.argmin(axis=1)
-        inertia = float(np.maximum(sq[np.arange(n), labels], 0.0).sum())
+        nearest = np.maximum(sq[rows, labels], 0.0)
+        inertia = float(nearest.sum())
 
+        # a stable sort keeps each cluster's members in index order, so each
+        # slice holds the rows points[labels == c] would, in the same order
+        grouped = points[np.argsort(labels, kind="stable")]
+        counts = np.bincount(labels, minlength=k).tolist()
+        start = 0
         reseeded = False
-        for c in range(k):
-            members = labels == c
-            if members.any():
-                centroids[c] = points[members].mean(axis=0)
+        for c, count in enumerate(counts):
+            if count:
+                centroids[c] = grouped[start:start + count].sum(axis=0) / count
+                start += count
             else:
                 # reseed an empty cluster at the point farthest from its
                 # current centroid; inertia may rise on this iteration
-                far = np.maximum(sq[np.arange(n), labels], 0.0).argmax()
-                centroids[c] = points[far]
+                centroids[c] = points[nearest.argmax()]
                 reseeded = True
 
         if not reseeded:

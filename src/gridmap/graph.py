@@ -21,6 +21,7 @@ from scipy.spatial.distance import pdist, squareform
 from .errors import InputError
 from .geo import pairwise_geo
 from .ingest import GroundTruth, MeterDataset
+from .spectral import max_asymmetry
 
 AUTO = "auto"
 
@@ -100,13 +101,16 @@ def ideal_graph(truth: GroundTruth) -> SimilarityGraph:
 def laplacian(graph) -> np.ndarray:
     """Unnormalized Laplacian L = D - M of a similarity matrix.
 
-    Accepts a SimilarityGraph or a raw matrix. Rejects matrices that are
-    not symmetric to 1e-12 or whose entries leave [0, 1].
+    Accepts a SimilarityGraph or a raw matrix. Rejects matrices with a
+    non-finite entry, that are not symmetric to 1e-12 or whose entries
+    leave [0, 1].
     """
     m = np.asarray(graph.matrix if isinstance(graph, SimilarityGraph) else graph, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError("similarity matrix must be square")
-    if np.max(np.abs(m - m.T)) > SYMMETRY_TOL:
+    if not np.isfinite(m).all():
+        raise InputError("similarity entries must be finite")
+    if max_asymmetry(m) > SYMMETRY_TOL:
         raise InputError("similarity matrix is not symmetric")
     if np.min(m) < -SYMMETRY_TOL or np.max(m) > 1.0 + SYMMETRY_TOL:
         raise InputError("similarity entries must lie in [0, 1]")

@@ -34,6 +34,20 @@ class SpectralEmbedding:
     next_eigenvalue: float      # eigenvalue k+1, for gap diagnostics
 
 
+def max_asymmetry(a: np.ndarray) -> float:
+    """max |a_ij - a_ji| over a square matrix, NaN if any entry is NaN.
+
+    Each block of 64 rows of the upper triangle is compared with the matching
+    block of columns, so no N x N temporary is formed.
+    """
+    n = a.shape[0]
+    worst = 0.0
+    for i in range(0, n, 64):
+        block = np.abs(a[i:i + 64, i:] - a[i:, i:i + 64].T).max()
+        worst = np.maximum(worst, block)  # propagates NaN, which max() would drop
+    return float(worst)
+
+
 def fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-|entry| (first on ties) is positive."""
     v = vectors.copy()
@@ -59,7 +73,7 @@ def _eigh(matrix, k=None, spectrum=False):
         raise InputError("matrix must be square")
     if not np.isfinite(a).all():
         raise NumericalError("matrix has non-finite entries")
-    if np.max(np.abs(a - a.T)) > 1e-10 * max(1.0, np.abs(a).max()):
+    if max_asymmetry(a) > 1e-10 * max(1.0, np.abs(a).max()):
         raise InputError("matrix must be symmetric")
     n = a.shape[0]
     k = n if k is None else k

@@ -15,11 +15,16 @@ import numpy as np
 import pytest
 
 import gridmap
+import gridmap.cli
+import gridmap.multiview
+import reference_kmeans
 from gridmap.cli import main
 from gridmap.ingest import save_dataset, save_ground_truth, save_transformers
 
 from scenarios import (
     TWO_SITE_SIGMA,
+    many_xfmr_spec,
+    shrunken_gap_spec,
     three_cluster_spec,
     two_cluster_spec,
     two_site_case,
@@ -147,6 +152,34 @@ def test_cluster_rerun_is_byte_identical(tmp_path):
         assert main(cluster_args(out, k=2, seed=1, out=tmp_path / sub)) == 0
     first = (tmp_path / "r1" / "mapping.json").read_bytes()
     assert first == (tmp_path / "r2" / "mapping.json").read_bytes()
+
+
+@pytest.mark.parametrize("spec, method", [
+    (many_xfmr_spec(), "spectral"),
+    (shrunken_gap_spec(), "multiview"),
+], ids=["star-k24", "noisy-multiview"])
+def test_outputs_match_the_reference_kmeans_byte_for_byte(tmp_path, monkeypatch, spec, method):
+    src = simulate(tmp_path, spec)
+    spec_path = write_spec(tmp_path / "spec.json", spec)
+
+    def run(out):
+        assert main(cluster_args(src, k=spec.k, method=method, seed=4, out=out)) == 0
+        assert main(["sweep-noise", "--spec", spec_path, "--noise-grid", "0,1e-4",
+                     "--trials", "2", "--out", str(out)]) == 0
+        return (out / "mapping.json").read_bytes(), (out / "sweep.csv").read_bytes()
+
+    shipped = run(tmp_path / "shipped")
+    calls = []
+
+    def reference(*args, **kwargs):
+        calls.append(args[1])
+        return reference_kmeans.kmeans_pp(*args, **kwargs)
+
+    # the multiview route calls k-means++ from its own module
+    monkeypatch.setattr(gridmap.cli, "kmeans_pp", reference)
+    monkeypatch.setattr(gridmap.multiview, "kmeans_pp", reference)
+    assert run(tmp_path / "reference") == shipped
+    assert calls == [spec.k] * 5  # cluster, then 2 noise levels x 2 trials
 
 
 def test_cluster_without_k_fails(tmp_path):
@@ -299,8 +332,12 @@ def test_simulate_and_evaluate_take_no_seed(tmp_path, monkeypatch, command, rout
     lambda doc: doc["meters"]["m000"].update(cluster=1.9),
     lambda doc: doc["meters"]["m000"].update(cluster=True),
     lambda doc: doc.update(k=2.7),
+    lambda doc: doc.update(k=200000),
+    lambda doc: doc["meters"]["m000"].update(cluster=300000),
+    lambda doc: doc.update(k=11),
+    lambda doc: doc["meters"]["m000"].update(cluster=10),
 ], ids=["no-meters", "k-as-text", "negative-cluster", "fractional-cluster", "bool-cluster",
-        "fractional-k"])
+        "fractional-k", "huge-k", "huge-cluster", "k-above-meters", "cluster-at-meters"])
 def test_malformed_mapping_exits_2(tmp_path, capsys, edit):
     src = simulate(tmp_path, two_cluster_spec(0.0, seed=0))
     assert main(cluster_args(src, k=2, out=src)) == 0
@@ -312,6 +349,15 @@ def test_malformed_mapping_exits_2(tmp_path, capsys, edit):
     assert main(evaluate_args(src, bad) + ["--out", str(out)]) == 2
     assert "gridmap: error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_one_meter_per_cluster_evaluates(tmp_path):
+    # k = N is the largest mapping the baseline can write, and it scores
+    src = simulate(tmp_path, two_cluster_spec(0.0, seed=0))
+    with pytest.warns(UserWarning, match="more clusters than transformers"):
+        assert main(cluster_args(src, k=10, method="kmeans-baseline", out=src)) == 0
+    assert main(evaluate_args(src, src / "mapping.json") + ["--out", str(tmp_path / "o")]) == 0
+    assert read_json(tmp_path / "o" / "evaluation.json")["accuracy"] == 0.2
 
 
 def test_dump_similarity_and_embedding(tmp_path):

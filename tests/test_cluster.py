@@ -1,13 +1,18 @@
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
 
+import reference_kmeans
 import scenarios
 from gridmap.cluster import (
+    KMeansResult,
     MappingResult,
+    _draw,
     _lloyd,
+    _plusplus_seed,
     assign_transformers,
     evaluate,
     kmeans_pp,
@@ -107,6 +112,99 @@ def test_kmeans_input_validation():
         kmeans_pp(np.zeros(4), 2, seed=0)
     with pytest.raises(InputError):
         kmeans_pp(pts, 2, seed=0, restarts=0)
+
+
+# --- bit-for-bit agreement with the loop-based reference -------------------
+
+SCALES = (1e-6, 1e-3, 1.0, 1e3)
+KINDS = ("spread", "duplicates", "one-ulp", "tight")
+
+
+def _points(kind, rng, n, d, scale):
+    if kind == "spread":
+        return scale * rng.standard_normal((n, d))
+    centers = scale * rng.standard_normal((int(rng.integers(1, n + 1)), d))
+    pts = centers[rng.integers(len(centers), size=n)]
+    if kind == "one-ulp":
+        moved = rng.random((n, d)) < 0.5
+        pts[moved] = np.nextafter(pts[moved], np.inf)
+    elif kind == "tight":
+        pts = pts + 1e-9 * scale * rng.standard_normal((n, d))
+    return pts
+
+
+def _outcome(run):
+    """A run's labels, centroid and inertia bits and n_iter, or its error."""
+    try:
+        result = run()
+    except NumericalError as exc:
+        return str(exc)
+    if isinstance(result, KMeansResult):
+        result = (result.labels, result.centroids, result.inertia, result.n_iter)
+    labels, centroids, inertia, n_iter = result
+    return labels.tobytes(), centroids.tobytes(), float(inertia).hex(), n_iter
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_kmeans_matches_the_reference_bit_for_bit(kind):
+    # 4 x 120 inputs; within each kind, every 6th has k = 1, the next k = N,
+    # every 5th d = 1, and every 4th takes 3 restarts instead of 1
+    for i in range(120):
+        rng = np.random.default_rng([KINDS.index(kind), i])
+        n = int(rng.integers(2, 16))
+        d = 1 if i % 5 == 0 else int(rng.integers(2, 6))
+        k = {0: 1, 1: n}.get(i % 6, int(rng.integers(1, n + 1)))
+        pts = _points(kind, rng, n, d, SCALES[i % len(SCALES)])
+        restarts = 3 if i % 4 == 1 else 1
+        assert _outcome(lambda: kmeans_pp(pts, k, seed=i, restarts=restarts)) == _outcome(
+            lambda: reference_kmeans.kmeans_pp(pts, k, seed=i, restarts=restarts)
+        )
+
+
+def test_lloyd_reseeds_match_the_reference_bit_for_bit():
+    # one starting centroid lies far outside the data and another repeats a
+    # point, so the first pass leaves at least one cluster empty
+    for i in range(60):
+        rng = np.random.default_rng([9, i])
+        n, d = int(rng.integers(4, 16)), 1 + i % 3
+        scale = SCALES[i % len(SCALES)]
+        pts = _points(KINDS[i % len(KINDS)], rng, n, d, scale)
+        k = int(rng.integers(3, n + 1))
+        start = pts[rng.choice(n, k, replace=False)]
+        start[0] = 1e6 * scale
+        start[1] = start[2]
+        assert _outcome(lambda: _lloyd(pts, start.copy())) == _outcome(
+            lambda: reference_kmeans._lloyd(pts, start.copy())
+        )
+
+
+def test_seeding_matches_the_reference_bit_for_bit():
+    for i in range(60):
+        rng = np.random.default_rng([10, i])
+        n, d = int(rng.integers(2, 80)), int(rng.integers(1, 6))
+        pts = _points(KINDS[i % len(KINDS)], rng, n, d, SCALES[i % len(SCALES)])
+        k = int(rng.integers(1, n + 1))
+        ours, theirs = np.random.default_rng(i), np.random.default_rng(i)
+        got = _plusplus_seed(pts, k, ours)
+        want = reference_kmeans._plusplus_seed(pts, k, theirs)
+        assert got.tobytes() == want.tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_draw_is_generator_choice():
+    for i in range(300):
+        rng = np.random.default_rng([11, i])
+        w = rng.random(int(rng.integers(1, 50)))
+        w[rng.random(w.size) < 0.3] = 0.0
+        w[rng.integers(w.size)] = rng.random() + 0.5  # at least one positive weight
+        p = w / w.sum()
+        ours, theirs = np.random.default_rng(i), np.random.default_rng(i)
+        assert _draw(p, ours) == theirs.choice(p.size, p=p)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+    # a draw landing exactly on a step of the cdf never takes a zero weight
+    p = np.array([0.0, 0.5, 0.0, 0.5])
+    assert _draw(p, types.SimpleNamespace(random=lambda: 0.0)) == 1
+    assert _draw(p, types.SimpleNamespace(random=lambda: 0.5)) == 3
 
 
 def _dataset_at(locs_rad):

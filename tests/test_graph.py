@@ -153,6 +153,16 @@ def test_laplacian_input_validation():
         laplacian(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [
+    [[1.0, np.nan], [np.nan, 1.0]],
+    [[np.nan, 0.5], [0.5, 1.0]],
+    [[1.0, np.inf], [np.inf, 1.0]],
+], ids=["nan-pair", "nan-diagonal", "inf-pair"])
+def test_laplacian_rejects_non_finite(bad):
+    with pytest.raises(InputError, match="finite"):
+        laplacian(np.array(bad))
+
+
 def test_laplacian_accepts_graph_or_matrix():
     g = SimilarityGraph(matrix=np.eye(3), sigma=1.0, kind="voltage")
     assert np.array_equal(laplacian(g), laplacian(np.eye(3)))

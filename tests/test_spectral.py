@@ -7,7 +7,7 @@ from gridmap.feeder_sim import generate_profiles, simulate_voltages
 from gridmap.graph import ideal_graph, laplacian, location_similarity, voltage_similarity
 from gridmap.guarantee import canonical_angles
 from gridmap.multiview import combined_laplacian
-from gridmap.spectral import eigendecompose, embed, fix_signs
+from gridmap.spectral import eigendecompose, embed, fix_signs, max_asymmetry
 
 
 def ideal_laplacian(sizes):
@@ -132,6 +132,28 @@ def test_eigendecomposition_is_repeatable():
 def test_eigendecompose_rejects_asymmetric():
     with pytest.raises(InputError):
         eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200])
+def test_max_asymmetry_is_the_dense_check(n):
+    # the checked rows come in blocks of 64; each perturbed entry sits in the
+    # last (partial) block, across the first block boundary, or in a corner
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n))
+    a = a + a.T
+    assert max_asymmetry(a) == np.max(np.abs(a - a.T)) == 0.0
+    noisy = a + 1e-12 * rng.standard_normal((n, n))
+    assert max_asymmetry(noisy) == np.max(np.abs(noisy - noisy.T))
+    spots = [(n - 1, n - 2), (n - 2, n - 1), (63, 64), (64, 63), (n - 1, 0), (0, n - 1)]
+    for i, j in [(i, j) for i, j in spots if i != j and 0 <= min(i, j) and max(i, j) < n]:
+        b = a.copy()
+        b[i, j] += 1e-9 * (1 + i)
+        assert max_asymmetry(b) == np.max(np.abs(b - b.T)) > 0.0
+        b[i, j] = np.nan
+        assert np.isnan(max_asymmetry(b))
+    b = a.copy()
+    b[n - 1, n - 1] = np.nan
+    assert np.isnan(max_asymmetry(b))
 
 
 def test_eigendecompose_rejects_non_finite():
