@@ -4,6 +4,11 @@ Clustering runs on embedding rows (or raw voltage rows for the baseline).
 Each restart draws from its own seeded substream, so results are
 reproducible and adding restarts can only improve the selected inertia.
 
+``kmeans_pp`` clusters the points less their column mean and adds the
+mean back to the centroids. k-means is translation-invariant, and points
+far from the origin would otherwise lose their distances to the rounding
+of the expanded form below.
+
 Both inner loops are array operations that give the same bits as the
 row-by-row loops kept in ``tests/reference_kmeans.py``:
 
@@ -161,6 +166,7 @@ def kmeans_pp(
     restarts run, and the winner is chosen by (inertia, restart index).
     With fewer distinct points than k, the exact solution is returned
     without iterating: one cluster per distinct point, the others empty.
+    Otherwise the points are clustered less their column mean.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -180,16 +186,20 @@ def kmeans_pp(
             n_iter=0,
         )
 
+    mean = points.mean(axis=0)
+    centered = points - mean
     best = None
     for r in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
-        centroids = _plusplus_seed(points, k, rng)
-        labels, centroids, inertia, n_iter = _lloyd(points, centroids.copy())
+        centroids = _plusplus_seed(centered, k, rng)
+        labels, centroids, inertia, n_iter = _lloyd(centered, centroids.copy())
         if best is None or inertia < best[0]:
             best = (inertia, labels, centroids, n_iter)
 
     inertia, labels, centroids, n_iter = best
-    return KMeansResult(labels=labels, centroids=centroids, inertia=inertia, n_iter=n_iter)
+    return KMeansResult(
+        labels=labels, centroids=centroids + mean, inertia=inertia, n_iter=n_iter
+    )
 
 
 def assign_transformers(

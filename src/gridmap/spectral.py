@@ -9,6 +9,16 @@ its largest-magnitude entry (lowest index on ties) is positive.
 Neither caller forms more eigenvectors than it reads: ``embed`` solves only
 for the eigenpairs 0..k, and ``eigendecompose`` returns all N eigenvalues
 but only the eigenvectors it is asked for.
+
+A Gaussian kernel graph whose far pairs underflow to 0.0 has a Laplacian
+that is block diagonal under a permutation, one block per connected
+component, and its eigenpairs are the union of the blocks' eigenpairs.
+``embed`` solves such a matrix block by block, which is exact and costs the
+sum of the blocks' cubes instead of N cubed; a connected matrix goes to
+the solver whole, in one call. ``eigendecompose`` always solves the whole
+matrix: split into blocks, its eigenvalues would move by a few ulp (the
+ideal [4, 30, 6] Laplacian's 4.0 becomes 4 - 4 ulp), and the certificate
+that calls it reports them to the bit.
 """
 from __future__ import annotations
 
@@ -57,23 +67,103 @@ def fix_signs(vectors: np.ndarray) -> np.ndarray:
     return v
 
 
+def _components(a):
+    """Connected components of the graph with an edge i-j wherever a_ij or
+    a_ji (i != j) is nonzero.
+
+    Returns the components of two or more nodes as ascending node arrays,
+    ordered by lowest node, and the isolated nodes as one ascending array.
+    One pass over the matrix makes its N x N nonzero mask (one byte an
+    entry), which gives the isolated nodes. A breadth-first search over the
+    mask labels the rest: each step reads the rows and columns of a whole
+    frontier, and the search stops as soon as every node is labelled, so a
+    connected matrix with a full first row takes one step.
+    """
+    nz = a != 0
+    np.fill_diagonal(nz, False)
+    seen = ~(nz.any(axis=0) | nz.any(axis=1))
+    isolated = np.flatnonzero(seen)
+    left = seen.size - isolated.size
+    blocks = []
+    while left:
+        frontier = np.array([seen.argmin()])
+        seen[frontier] = True
+        left -= 1
+        levels = [frontier]
+        while frontier.size and left:
+            hit = nz[frontier].any(axis=0) | nz[:, frontier].any(axis=1)
+            frontier = np.flatnonzero(hit & ~seen)
+            seen[frontier] = True
+            left -= frontier.size
+            levels.append(frontier)
+        blocks.append(np.sort(np.concatenate(levels)))
+    return blocks, isolated
+
+
+def _bottom_by_block(a, k, blocks, isolated):
+    """The k smallest eigenpairs of a matrix that is block diagonal under a
+    permutation, solved block by block.
+
+    The k smallest eigenvalues of the whole lie among each block's
+    min(k, n_c) smallest, so each block of two or more nodes gets the same
+    evr call the connected route makes, restricted to that many pairs, and
+    an isolated node i contributes a_ii with the unit vector e_i. One stable
+    sort by (eigenvalue, the component's lowest node) merges them; among
+    tied eigenvalues of one block the solver's order is kept.
+    """
+    n = a.shape[0]
+    values, firsts, parts = [], [], []
+    for nodes in blocks:
+        w, v = scipy.linalg.eigh(
+            a[np.ix_(nodes, nodes)], subset_by_index=(0, min(k, nodes.size) - 1),
+            driver="evr", check_finite=False,
+        )
+        values.append(w)
+        firsts.append(np.full(w.size, nodes[0]))
+        parts.append((nodes, v))
+    values.append(a[isolated, isolated])
+    firsts.append(isolated)
+    w = np.concatenate(values)
+    picked = np.lexsort((np.concatenate(firsts), w))[:k]
+    column = np.full(w.size, -1)
+    column[picked] = np.arange(k)
+    x = np.zeros((n, k))
+    start = 0
+    for nodes, v in parts:
+        cols = column[start:start + v.shape[1]]
+        x[np.ix_(nodes, cols[cols >= 0])] = v[:, cols >= 0]
+        start += v.shape[1]
+    cols = column[start:]
+    x[isolated[cols >= 0], cols[cols >= 0]] = 1.0
+    return w[picked], x
+
+
 def _eigh(matrix, k=None, spectrum=False):
     """Ascending eigenvalues and the sign-fixed eigenvectors of the k
     smallest of them (all of them when k is None), for a symmetric matrix.
 
     The bottom-k mode returns only those k eigenvalues, from the relatively
     robust representations driver, which stops after the requested
-    eigenpairs. The spectrum mode returns all N eigenvalues: one Householder
+    eigenpairs. It first labels the connected components of the matrix's
+    off-diagonal nonzeros. A connected matrix goes to the solver whole; a
+    disconnected one is solved block by block (``_bottom_by_block``). Where
+    the k-th and (k+1)-th eigenvalues tie, as when there are more than k
+    components, the bottom-k eigenspace is not unique and the block merge
+    order picks one basis of it, where the whole-matrix solve picked another.
+
+    The spectrum mode returns all N eigenvalues: one Householder
     reduction to tridiagonal form, root-free QR for every eigenvalue, and
     bisection with inverse iteration for the k wanted vectors, which the
-    reduction's reflectors then carry back.
+    reduction's reflectors then carry back. It never splits into blocks
+    (see the module docstring).
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError("matrix must be square")
-    if not np.isfinite(a).all():
+    lo, hi = a.min(), a.max()  # NaN propagates through both
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise NumericalError("matrix has non-finite entries")
-    if max_asymmetry(a) > 1e-10 * max(1.0, np.abs(a).max()):
+    if max_asymmetry(a) > 1e-10 * max(1.0, -lo, hi):
         raise InputError("matrix must be symmetric")
     n = a.shape[0]
     k = n if k is None else k
@@ -83,9 +173,13 @@ def _eigh(matrix, k=None, spectrum=False):
         if spectrum:
             w, v = _spectrum(a, k)
         else:
-            w, v = scipy.linalg.eigh(
-                a, subset_by_index=(0, k - 1), driver="evr", check_finite=False
-            )
+            blocks, isolated = _components(a)
+            if len(blocks) + isolated.size == 1:
+                w, v = scipy.linalg.eigh(
+                    a, subset_by_index=(0, k - 1), driver="evr", check_finite=False
+                )
+            else:
+                w, v = _bottom_by_block(a, k, blocks, isolated)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     if not np.all(np.isfinite(w)):

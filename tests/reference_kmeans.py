@@ -4,7 +4,7 @@ Seeding takes each D^2 row by row from differences and draws with
 ``Generator.choice``; Lloyd's update takes each centroid as the masked
 ``mean`` of its members. ``gridmap.cluster`` computes the same picks,
 labels and centroid bits with array operations; the tests compare the two
-bit for bit.
+bit for bit. Both ``kmeans_pp`` wrappers cluster the same centered input.
 """
 import numpy as np
 
@@ -77,7 +77,8 @@ def kmeans_pp(
     seed: int,
     restarts: int = 10,
 ) -> KMeansResult:
-    """Best of ``restarts`` runs of the loop-based seeding plus Lloyd."""
+    """Best of ``restarts`` runs of the loop-based seeding plus Lloyd, on
+    the points less their column mean, which the centroids get back."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise InputError("points must be a 2-D array")
@@ -94,13 +95,17 @@ def kmeans_pp(
             n_iter=0,
         )
 
+    mean = points.mean(axis=0)
+    centered = points - mean
     best = None
     for r in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
-        centroids = _plusplus_seed(points, k, rng)
-        labels, centroids, inertia, n_iter = _lloyd(points, centroids.copy())
+        centroids = _plusplus_seed(centered, k, rng)
+        labels, centroids, inertia, n_iter = _lloyd(centered, centroids.copy())
         if best is None or inertia < best[0]:
             best = (inertia, labels, centroids, n_iter)
 
     inertia, labels, centroids, n_iter = best
-    return KMeansResult(labels=labels, centroids=centroids, inertia=inertia, n_iter=n_iter)
+    return KMeansResult(
+        labels=labels, centroids=centroids + mean, inertia=inertia, n_iter=n_iter
+    )

@@ -17,11 +17,13 @@ import pytest
 import gridmap
 import gridmap.cli
 import gridmap.multiview
+import gridmap.spectral
 import reference_kmeans
 from gridmap.cli import main
 from gridmap.ingest import save_dataset, save_ground_truth, save_transformers
 
 from scenarios import (
+    MANY_XFMR_SIGMA,
     TWO_SITE_SIGMA,
     many_xfmr_spec,
     shrunken_gap_spec,
@@ -180,6 +182,38 @@ def test_outputs_match_the_reference_kmeans_byte_for_byte(tmp_path, monkeypatch,
     monkeypatch.setattr(gridmap.multiview, "kmeans_pp", reference)
     assert run(tmp_path / "reference") == shipped
     assert calls == [spec.k] * 5  # cluster, then 2 noise levels x 2 trials
+
+
+def test_block_solve_writes_the_outputs_of_the_dense_solve(tmp_path, monkeypatch):
+    # at this width the graph falls apart into blocks; a run whose labelling
+    # reports one block takes the whole-matrix solve and writes the same bytes
+    spec = many_xfmr_spec()
+    src = simulate(tmp_path, spec)
+    spec_path = write_spec(tmp_path / "spec.json", spec)
+    sigma = str(MANY_XFMR_SIGMA)
+
+    def run(out):
+        assert main(cluster_args(src, k=spec.k, sigma=sigma, seed=4, out=out)) == 0
+        assert main(["sweep-noise", "--spec", spec_path, "--noise-grid", "0", "--trials", "2",
+                     "--sigma", sigma, "--out", str(out)]) == 0
+        return (out / "mapping.json").read_bytes(), (out / "sweep.csv").read_bytes()
+
+    components = gridmap.spectral._components
+    labelled = []
+
+    def count_blocks(a):
+        blocks, isolated = components(a)
+        labelled.append(len(blocks) + isolated.size)
+        return blocks, isolated
+
+    def one_block(a):
+        return [np.arange(a.shape[0])], np.array([], dtype=int)
+
+    monkeypatch.setattr(gridmap.spectral, "_components", count_blocks)
+    split = run(tmp_path / "split")
+    assert len(labelled) == 3 and min(labelled) > 1  # cluster, then 2 trials
+    monkeypatch.setattr(gridmap.spectral, "_components", one_block)
+    assert run(tmp_path / "whole") == split
 
 
 def test_cluster_without_k_fails(tmp_path):

@@ -145,20 +145,48 @@ def _outcome(run):
     return labels.tobytes(), centroids.tobytes(), float(inertia).hex(), n_iter
 
 
+def _case(kind, i):
+    """Input i of a kind: within each kind, every 6th has k = 1, the next
+    k = N, every 5th d = 1, and every 4th takes 3 restarts instead of 1."""
+    rng = np.random.default_rng([KINDS.index(kind), i])
+    n = int(rng.integers(2, 16))
+    d = 1 if i % 5 == 0 else int(rng.integers(2, 6))
+    k = {0: 1, 1: n}.get(i % 6, int(rng.integers(1, n + 1)))
+    pts = _points(kind, rng, n, d, SCALES[i % len(SCALES)])
+    return pts, k, 3 if i % 4 == 1 else 1
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_kmeans_matches_the_reference_bit_for_bit(kind):
-    # 4 x 120 inputs; within each kind, every 6th has k = 1, the next k = N,
-    # every 5th d = 1, and every 4th takes 3 restarts instead of 1
+    # 4 x 120 inputs; the reference clusters the same centered points
     for i in range(120):
-        rng = np.random.default_rng([KINDS.index(kind), i])
-        n = int(rng.integers(2, 16))
-        d = 1 if i % 5 == 0 else int(rng.integers(2, 6))
-        k = {0: 1, 1: n}.get(i % 6, int(rng.integers(1, n + 1)))
-        pts = _points(kind, rng, n, d, SCALES[i % len(SCALES)])
-        restarts = 3 if i % 4 == 1 else 1
+        pts, k, restarts = _case(kind, i)
         assert _outcome(lambda: kmeans_pp(pts, k, seed=i, restarts=restarts)) == _outcome(
             lambda: reference_kmeans.kmeans_pp(pts, k, seed=i, restarts=restarts)
         )
+
+
+@pytest.mark.parametrize("kind, i", [("one-ulp", 99), ("tight", 3), ("tight", 11), ("tight", 91)])
+def test_near_duplicates_far_from_the_origin_do_not_fail(kind, i):
+    # coordinates near 2 000, spread 1e-6 or one ulp: uncentered, the
+    # expanded distance's rounding outgrew the distances and Lloyd raised
+    # "inertia increased" on these four inputs
+    pts, k, restarts = _case(kind, i)
+    km = kmeans_pp(pts, k, seed=i, restarts=restarts)
+    assert np.abs(pts).max() > 1e3
+    assert km.labels.shape == (len(pts),) and 0 <= km.labels.min() <= km.labels.max() < k
+    assert math.isfinite(km.inertia)
+    if kind == "tight":
+        assert km.n_iter <= 3
+        assert np.bincount(km.labels, minlength=k).min() > 0
+
+
+def test_two_near_duplicates_far_from_the_origin_split():
+    # uncentered, Lloyd could not tell these apart: labels [0, 0] and an
+    # empty cluster after all MAX_ITER iterations
+    km = kmeans_pp(np.array([[1000.0, 2000, -500], [1000.000001, 2000, -500]]), 2, seed=0)
+    assert km.labels.tolist() == [1, 0]
+    assert km.n_iter == 2
 
 
 def test_lloyd_reseeds_match_the_reference_bit_for_bit():

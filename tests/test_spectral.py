@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.sparse.csgraph import connected_components
 
 import scenarios
 from gridmap.errors import InputError, NumericalError
@@ -7,7 +9,7 @@ from gridmap.feeder_sim import generate_profiles, simulate_voltages
 from gridmap.graph import ideal_graph, laplacian, location_similarity, voltage_similarity
 from gridmap.guarantee import canonical_angles
 from gridmap.multiview import combined_laplacian
-from gridmap.spectral import eigendecompose, embed, fix_signs, max_asymmetry
+from gridmap.spectral import _components, _eigh, eigendecompose, embed, fix_signs, max_asymmetry
 
 
 def ideal_laplacian(sizes):
@@ -162,6 +164,26 @@ def test_eigendecompose_rejects_non_finite():
         eigendecompose(bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_are_named(bad):
+    a = np.eye(4)
+    a[2, 1] = bad
+    for solve in (lambda: embed(a, 2), lambda: eigendecompose(a)):
+        with pytest.raises(NumericalError, match="non-finite entries"):
+            solve()
+
+
+def test_symmetry_tolerance_scales_with_the_largest_magnitude():
+    # 1e-10 max |a_ij|, where the largest magnitude is a negative entry
+    a = np.diag([-1e6, 1.0, 2.0])
+    a[0, 1] = a[1, 0] = 0.5
+    a[0, 1] += 5e-5
+    assert embed(a, 1).X.shape == (3, 1)
+    a[0, 1] += 1e-4
+    with pytest.raises(InputError, match="symmetric"):
+        embed(a, 1)
+
+
 def test_embed_k_bounds():
     lap = ideal_laplacian([3, 3])
     with pytest.raises(InputError):
@@ -211,3 +233,134 @@ def test_embed_equals_full_solve_on_an_indefinite_multiview_matrix():
     combined = combined_laplacian(l_v, h_l, 0.5)
     assert eigendecompose(combined).eigenvalues[0] < 0.0
     assert_embed_matches_full_solve(combined, 2)
+
+
+# --- the bottom-k solve, block by block -------------------------------------
+
+def direct_bottom(a, k):
+    """The whole-matrix route: one evr call, as connected inputs take."""
+    w, v = scipy.linalg.eigh(a, subset_by_index=(0, k - 1), driver="evr", check_finite=False)
+    return w, fix_signs(v)
+
+
+def random_block(rng, m, kind):
+    if m == 1:
+        return np.array([[rng.choice([0.0, rng.uniform(-2.0, 3.0)])]])
+    if kind == "indefinite":
+        b = rng.standard_normal((m, m))
+        return b + b.T
+    if kind == "path":  # connected through a chain: the search needs m - 1 levels
+        w = np.diag(rng.uniform(0.1, 1.0, m - 1), 1)
+    else:
+        w = np.triu(rng.uniform(0.1, 1.0, (m, m)), 1)
+    w = w + w.T
+    return np.diag(w.sum(axis=1)) - w  # a Laplacian, one zero eigenvalue
+
+
+def permuted_block_diagonal(rng, sizes, kinds):
+    blocks = [random_block(rng, m, kind) for m, kind in zip(sizes, kinds)]
+    perm = rng.permutation(sum(sizes))
+    return scipy.linalg.block_diag(*blocks)[np.ix_(perm, perm)]
+
+
+def block_cases():
+    named = {
+        "singletons": ([1, 1, 4, 1, 3, 1, 1], 5),
+        "all-zero": (None, 4),
+        "blocks-smaller-than-k+1": ([2, 3, 2, 3], 7),
+        "indefinite": ([5, 6, 4], 4),
+        "more-than-k-components": ([3, 3, 2, 4, 3, 2, 3], 3),
+    }
+    for name, (sizes, k) in named.items():
+        yield name, sizes, k
+    for i in range(40):
+        rng = np.random.default_rng([13, i])
+        sizes = rng.choice([1, 1, 2, 3, 5, 8, 13], size=int(rng.integers(2, 9))).tolist()
+        yield f"random-{i}", sizes, int(rng.integers(1, sum(sizes) + 1))
+
+
+@pytest.mark.parametrize("name, sizes, k", list(block_cases()))
+def test_bottom_k_by_block_matches_the_dense_route(name, sizes, k):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if sizes is None:
+        a = np.zeros((9, 9))
+    else:
+        kinds = ["indefinite" if name == "indefinite" else rng.choice(
+            ["laplacian", "path", "indefinite"]) for _ in sizes]
+        a = permuted_block_diagonal(rng, sizes, kinds)
+    blocks, isolated = _components(a)
+    assert len(blocks) + isolated.size > 1
+    w, v = _eigh(a, k)
+    assert w.shape == (k,) and v.shape == (a.shape[0], k)
+    again = _eigh(a.copy(), k)
+    assert w.tobytes() == again[0].tobytes() and v.tobytes() == again[1].tobytes()
+    assert np.array_equal(fix_signs(v), v)
+
+    full = np.linalg.eigvalsh(a)
+    scale = np.abs(a).max()
+    assert np.max(np.abs(w - direct_bottom(a, k)[0])) <= 1e-12 * scale
+    assert np.max(np.abs(v.T @ v - np.eye(k))) <= 1e-12
+    assert np.linalg.norm(a @ v - v * w) <= 1e-12 * max(scale, 1.0) * a.shape[0]
+    # wherever the spectrum has a gap after j values, the first j vectors
+    # span the dense route's eigenspace
+    _, dense = np.linalg.eigh(a)
+    for j in range(1, k + 1):
+        if j == a.shape[0] or full[j] - full[j - 1] > 1e-3 * scale:
+            angles = canonical_angles(dense[:, :j], v[:, :j])
+            assert np.arcsin(min(angles.sines.max(), 1.0)) <= 1e-8
+
+
+def test_all_zero_matrix_picks_the_lowest_nodes():
+    # every eigenvalue ties, so the bottom-k eigenspace is not unique; the
+    # merge order takes the unit vectors of the lowest-numbered nodes
+    w, v = _eigh(np.zeros((6, 6)), 3)
+    assert np.array_equal(w, np.zeros(3))
+    assert np.array_equal(v, np.eye(6)[:, :3])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_components_match_csgraph(seed):
+    rng = np.random.default_rng([14, seed])
+    n = int(rng.integers(1, 40))
+    a = np.where(rng.random((n, n)) < rng.choice([0.02, 0.05, 0.2]), rng.standard_normal((n, n)), 0.0)
+    np.fill_diagonal(a, rng.standard_normal(n))  # the diagonal links nothing
+    # an edge stored in one triangle only links its ends too
+    count, label = connected_components(a != 0, directed=True, connection="weak")
+    groups = [np.flatnonzero(label == c) for c in range(count)]
+    groups.sort(key=lambda g: g[0])
+    blocks, isolated = _components(a)
+    assert [b.tolist() for b in blocks] == [g.tolist() for g in groups if g.size > 1]
+    assert isolated.tolist() == [int(g[0]) for g in groups if g.size == 1]
+
+
+def connected_cases():
+    rng = np.random.default_rng(15)
+    for n in (1, 2, 7, 40):
+        b = rng.standard_normal((n, n))
+        yield f"dense-{n}", b + b.T
+    path = np.diag(rng.uniform(0.1, 1.0, 29), 1)
+    yield "path", np.diag((path + path.T).sum(axis=1)) - path - path.T
+    spec = scenarios.three_cluster_spec(noise=1e-4, seed=1)
+    data, _, _ = simulate_voltages(spec, generate_profiles(spec))
+    yield "feeder", laplacian(voltage_similarity(data))
+
+
+@pytest.mark.parametrize("name, a", list(connected_cases()))
+def test_connected_input_keeps_the_direct_solve_bits(name, a):
+    blocks, isolated = _components(a)
+    assert len(blocks) + isolated.size == 1
+    for k in sorted({1, min(3, a.shape[0]), a.shape[0]}):
+        w, v = _eigh(a, k)
+        want_w, want_v = direct_bottom(a, k)
+        assert w.tobytes() == want_w.tobytes() and v.tobytes() == want_v.tobytes()
+
+
+def test_embed_splits_the_many_transformer_feeder():
+    # part of the cross-group kernel underflows: the graph falls apart into
+    # blocks, and the embedding spans what the dense route's does
+    spec = scenarios.many_xfmr_spec()
+    data, _, _ = simulate_voltages(spec, generate_profiles(spec))
+    lap = laplacian(voltage_similarity(data, sigma=scenarios.MANY_XFMR_SIGMA))
+    blocks, isolated = _components(lap)
+    assert len(blocks) > 1 and isolated.size == 0
+    assert_embed_matches_full_solve(lap, spec.k)
