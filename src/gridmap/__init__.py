@@ -53,7 +53,6 @@ from .ingest import (
     save_transformers,
 )
 from .multiview import (
-    MultiViewConfig,
     MultiViewState,
     combined_laplacian,
     disagreement,

@@ -31,6 +31,7 @@ from . import __version__
 from .cluster import MappingResult, assign_transformers, attach_transformers, evaluate, kmeans_pp
 from .errors import InputError, NumericalError
 from .feeder_sim import FeederSpec, generate_profiles, simulate_voltages
+from .geo import GEO_METRICS
 from .graph import AUTO, laplacian, location_similarity, voltage_similarity
 from .guarantee import certify
 from .ingest import (
@@ -41,7 +42,7 @@ from .ingest import (
     save_ground_truth,
     save_transformers,
 )
-from .multiview import MultiViewConfig, solve_multiview
+from .multiview import TOL, solve_multiview
 from .spectral import embed
 
 DEFAULTS = {
@@ -49,10 +50,7 @@ DEFAULTS = {
     "sigma": "auto",
     "sigma_l": "auto",
     "geo_metric": "haversine",
-    "lambda_reg": 0.5,
-    "max_iters": 30,
-    "tol": 1e-8,
-    "final_view": "voltage",
+    "tol": TOL,
     "restarts": 10,
     "out": ".",
 }
@@ -112,7 +110,11 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
             raise InputError(f"cannot parse config {args.config}: {exc}") from exc
         if not isinstance(config, dict):
             raise InputError(f"config {args.config} must be a JSON object")
-    options = {action.dest: action for action in args.options}
+    # the help action puts nothing in the namespace, so it is no config key
+    options = {action.dest: action for action in args.options if action.dest in vars(args)}
+    for key in config:
+        if key not in options:
+            raise InputError(f"config {key}: not an option of {args.command}")
     for key, value in vars(args).items():
         if value is None and config.get(key) is not None:
             setattr(args, key, _config_value(options[key], config[key]))
@@ -175,16 +177,17 @@ def cmd_simulate(args) -> int:
 
 def recover(
     data, xfmrs, k, method="spectral", sigma=AUTO, seed=0, restarts=10,
-    sigma_l=AUTO, geo_metric="haversine", cfg=None,
+    sigma_l=AUTO, geo_metric="haversine", tol=TOL,
 ):
     """Recover the meter-to-transformer mapping of one dataset.
 
     ``spectral`` clusters the bottom-k Laplacian eigenvectors of the voltage
     similarity graph, ``multiview`` co-regularizes them with the location
-    graph's (``cfg``, default MultiViewConfig()), and ``kmeans-baseline``
-    clusters the raw voltage rows. Every method ends in k-means++ and the
-    geographic match of clusters to transformers. Returns the mapping, the
-    embedding and the voltage graph; the baseline builds neither (None).
+    graph's until the joint objective changes by less than ``tol``
+    (relative), and ``kmeans-baseline`` clusters the raw voltage rows.
+    Every method ends in k-means++ and the geographic match of clusters to
+    transformers. Returns the mapping, the embedding and the voltage graph;
+    the baseline builds neither (None).
     """
     g_v = emb = None
     if method == "kmeans-baseline":
@@ -196,9 +199,7 @@ def recover(
     elif method == "multiview":
         g_v = voltage_similarity(data, sigma=sigma)
         g_l = location_similarity(data, sigma=sigma_l, metric=geo_metric)
-        emb, km, _ = solve_multiview(
-            g_v, g_l, k, cfg or MultiViewConfig(), seed=seed, restarts=restarts
-        )
+        emb, km, _ = solve_multiview(g_v, g_l, k, seed=seed, restarts=restarts, tol=tol)
     else:
         raise InputError(f"unknown method {method!r}")
     return assign_transformers(km, data, xfmrs), emb, g_v
@@ -214,13 +215,7 @@ def cmd_cluster(args) -> int:
 
     mapping, emb, g_v = recover(
         data, xfmrs, args.k, method=args.method, sigma=args.sigma, seed=args.seed,
-        restarts=args.restarts, sigma_l=args.sigma_l, geo_metric=args.geo_metric,
-        cfg=MultiViewConfig(
-            lambda_reg=args.lambda_reg,
-            max_outer_iters=args.max_iters,
-            tol=args.tol,
-            final_view=args.final_view,
-        ),
+        restarts=args.restarts, sigma_l=args.sigma_l, geo_metric=args.geo_metric, tol=args.tol,
     )
 
     os.makedirs(args.out, exist_ok=True)
@@ -405,12 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="voltage kernel width ('auto' = median distance)")
     p.add_argument("--sigma-l", type=_sigma_arg, default=None,
                    help="location kernel width ('auto' = median distance)")
-    p.add_argument("--geo-metric", choices=("haversine", "euclidean-angle"), default=None)
-    p.add_argument("--lambda", dest="lambda_reg", type=float, default=None,
-                   help="multiview co-regularization weight")
-    p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--final-view", choices=("voltage", "location", "average"), default=None)
+    p.add_argument("--geo-metric", choices=GEO_METRICS, default=None)
+    p.add_argument("--tol", type=float, default=None,
+                   help="multiview convergence tolerance (relative objective change)")
     p.add_argument("--restarts", type=int, default=None)
     p.add_argument("--dump-similarity", metavar="CSV", default=None)
     p.add_argument("--dump-embedding", metavar="CSV", default=None)

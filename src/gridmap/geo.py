@@ -12,8 +12,6 @@ from .errors import InputError
 
 EARTH_RADIUS_KM = 6371.0
 
-GEO_METRICS = ("haversine", "euclidean-angle")
-
 
 def wrap_lon(dlon):
     """Wrap a longitude difference (radians) into [-pi, pi]."""
@@ -53,13 +51,12 @@ def euclidean_angle(p, q):
     return float(d) if d.ndim == 0 else d
 
 
+GEO_METRICS = {"haversine": haversine, "euclidean-angle": euclidean_angle}
+
+
 def pairwise_geo(points, metric="haversine"):
     """All-pairs distance matrix (km) for an (n, 2) array of radian coords."""
     points = np.asarray(points, dtype=float)
-    if metric == "haversine":
-        fn = haversine
-    elif metric == "euclidean-angle":
-        fn = euclidean_angle
-    else:
+    if not isinstance(metric, str) or metric not in GEO_METRICS:  # a list would not hash
         raise InputError(f"unknown geo metric: {metric!r}")
-    return fn(points[:, None, :], points[None, :, :])
+    return GEO_METRICS[metric](points[:, None, :], points[None, :, :])

@@ -9,7 +9,11 @@ Alternating minimization keeps one embedding fixed and re-solves the other
 as an ordinary trailing-eigenvector problem of the combined (possibly
 indefinite) matrix L - lambda * H H'. Each half-step minimizes the joint
 objective exactly in its block, so the trace of objective values never
-increases. The final labels come from k-means++ on one view's rows.
+increases. The final labels come from k-means++ on the voltage view's rows.
+
+Every caller runs the same coupling weight (LAMBDA_REG) and iteration cap
+(MAX_OUTER_ITERS), so they are constants; only the convergence tolerance
+is a parameter, with its default TOL.
 """
 from __future__ import annotations
 
@@ -23,25 +27,9 @@ from .errors import InputError
 from .graph import SimilarityGraph, laplacian
 from .spectral import SpectralEmbedding, embed
 
-FINAL_VIEWS = ("voltage", "location", "average")
-
-
-@dataclass
-class MultiViewConfig:
-    lambda_reg: float = 0.5
-    max_outer_iters: int = 30
-    tol: float = 1e-8
-    final_view: str = "voltage"
-
-    def validate(self) -> None:
-        if not 0 <= self.lambda_reg < np.inf:
-            raise InputError("lambda_reg must be finite and nonnegative")
-        if self.max_outer_iters < 1:
-            raise InputError("max_outer_iters must be positive")
-        if not 0 < self.tol < np.inf:
-            raise InputError("tol must be finite and positive")
-        if self.final_view not in FINAL_VIEWS:
-            raise InputError(f"final_view must be one of {FINAL_VIEWS}")
+LAMBDA_REG = 0.5        # weight of the disagreement penalty
+MAX_OUTER_ITERS = 30    # read at each call, not bound as a default, so tests can lower it
+TOL = 1e-8              # default relative objective change that stops the solve
 
 
 @dataclass
@@ -75,21 +63,23 @@ def solve_multiview(
     g_v: SimilarityGraph,
     g_l: SimilarityGraph,
     k: int,
-    cfg: MultiViewConfig,
     seed: int,
     restarts: int = 10,
+    tol: float = TOL,
 ) -> tuple[SpectralEmbedding, KMeansResult, MultiViewState]:
-    """Alternating minimization of the co-regularized objective.
+    """Alternating minimization of the co-regularized objective, weight
+    LAMBDA_REG.
 
     Initializes both embeddings from their single-view Laplacians, then
     updates voltage first and location second each outer iteration, until
-    the relative change of the end-of-iteration objective drops below
-    cfg.tol or the iteration cap is hit (then a warning is issued). Each
-    half-step minimizes the objective exactly, so the last iterate is also
-    the best one. Returns the final-view embedding, the k-means++ result on
-    its rows, and the iteration record.
+    the relative change of the end-of-iteration objective drops below tol
+    or MAX_OUTER_ITERS is hit (then a warning is issued). Each half-step
+    minimizes the objective exactly, so the last iterate is also the best
+    one. Returns the voltage-view embedding, the k-means++ result on its
+    rows, and the iteration record.
     """
-    cfg.validate()
+    if not 0 < tol < np.inf:
+        raise InputError("tol must be finite and positive")
     l_v = laplacian(g_v)
     l_l = laplacian(g_l)
     if l_v.shape != l_l.shape:
@@ -97,35 +87,24 @@ def solve_multiview(
 
     emb_v = embed(l_v, k)
     emb_l = embed(l_l, k)
-    lam = cfg.lambda_reg
+    lam = LAMBDA_REG
 
     state = MultiViewState(H_v=emb_v.X, H_l=emb_l.X)
     trace = state.objective_trace
     trace.append(joint_objective(l_v, l_l, emb_v.X, emb_l.X, lam))
-    for it in range(1, cfg.max_outer_iters + 1):
+    for it in range(1, MAX_OUTER_ITERS + 1):
         emb_v = embed(combined_laplacian(l_v, emb_l.X, lam), k)
         trace.append(joint_objective(l_v, l_l, emb_v.X, emb_l.X, lam))
         emb_l = embed(combined_laplacian(l_l, emb_v.X, lam), k)
         trace.append(joint_objective(l_v, l_l, emb_v.X, emb_l.X, lam))
         state.n_iters = it
-        if abs(trace[-3] - trace[-1]) <= cfg.tol * max(1.0, abs(trace[-3])):
+        if abs(trace[-3] - trace[-1]) <= tol * max(1.0, abs(trace[-3])):
             state.converged = True
             break
     if not state.converged:
         warnings.warn(
-            f"multi-view solve did not converge in {cfg.max_outer_iters} iterations; "
+            f"multi-view solve did not converge in {MAX_OUTER_ITERS} iterations; "
             "returning the last iterate"
         )
     state.H_v, state.H_l = emb_v.X, emb_l.X
-
-    if cfg.final_view == "voltage":
-        final_emb = emb_v
-    elif cfg.final_view == "location":
-        final_emb = emb_l
-    else:
-        final_emb = SpectralEmbedding(
-            X=0.5 * (emb_v.X + emb_l.X),
-            eigenvalues=0.5 * (emb_v.eigenvalues + emb_l.eigenvalues),
-            next_eigenvalue=0.5 * (emb_v.next_eigenvalue + emb_l.next_eigenvalue),
-        )
-    return final_emb, kmeans_pp(final_emb.X, k, seed=seed, restarts=restarts), state
+    return emb_v, kmeans_pp(emb_v.X, k, seed=seed, restarts=restarts), state

@@ -13,12 +13,12 @@ but only the eigenvectors it is asked for.
 A Gaussian kernel graph whose far pairs underflow to 0.0 has a Laplacian
 that is block diagonal under a permutation, one block per connected
 component, and its eigenpairs are the union of the blocks' eigenpairs.
-``embed`` solves such a matrix block by block, which is exact and costs the
-sum of the blocks' cubes instead of N cubed; a connected matrix goes to
-the solver whole, in one call. ``eigendecompose`` always solves the whole
-matrix: split into blocks, its eigenvalues would move by a few ulp (the
-ideal [4, 30, 6] Laplacian's 4.0 becomes 4 - 4 ulp), and the certificate
-that calls it reports them to the bit.
+``embed`` solves every matrix block by block, which is exact and costs the
+sum of the blocks' cubes instead of N cubed; a connected matrix is the
+one-block case and goes to the solver whole, uncopied. ``eigendecompose``
+always solves the whole matrix: split into blocks, its eigenvalues would
+move by a few ulp (the ideal [4, 30, 6] Laplacian's 4.0 becomes 4 - 4 ulp),
+and the certificate that calls it reports them to the bit.
 """
 from __future__ import annotations
 
@@ -105,18 +105,21 @@ def _bottom_by_block(a, k, blocks, isolated):
     permutation, solved block by block.
 
     The k smallest eigenvalues of the whole lie among each block's
-    min(k, n_c) smallest, so each block of two or more nodes gets the same
-    evr call the connected route makes, restricted to that many pairs, and
-    an isolated node i contributes a_ii with the unit vector e_i. One stable
-    sort by (eigenvalue, the component's lowest node) merges them; among
-    tied eigenvalues of one block the solver's order is kept.
+    min(k, n_c) smallest, so each block of two or more nodes gets one evr
+    call, restricted to that many pairs, and an isolated node i contributes
+    a_ii with the unit vector e_i. One stable sort by (eigenvalue, the
+    component's lowest node) merges them; among tied eigenvalues of one
+    block the solver's order is kept. A block that holds every node is
+    ``a`` itself, not a copy; its pairs come out in the solver's ascending
+    order and land in their own columns, so a connected matrix gets the bits
+    of one whole-matrix evr call.
     """
     n = a.shape[0]
     values, firsts, parts = [], [], []
     for nodes in blocks:
         w, v = scipy.linalg.eigh(
-            a[np.ix_(nodes, nodes)], subset_by_index=(0, min(k, nodes.size) - 1),
-            driver="evr", check_finite=False,
+            a if nodes.size == n else a[np.ix_(nodes, nodes)],
+            subset_by_index=(0, min(k, nodes.size) - 1), driver="evr", check_finite=False,
         )
         values.append(w)
         firsts.append(np.full(w.size, nodes[0]))
@@ -145,11 +148,12 @@ def _eigh(matrix, k=None, spectrum=False):
     The bottom-k mode returns only those k eigenvalues, from the relatively
     robust representations driver, which stops after the requested
     eigenpairs. It first labels the connected components of the matrix's
-    off-diagonal nonzeros. A connected matrix goes to the solver whole; a
-    disconnected one is solved block by block (``_bottom_by_block``). Where
-    the k-th and (k+1)-th eigenvalues tie, as when there are more than k
-    components, the bottom-k eigenspace is not unique and the block merge
-    order picks one basis of it, where the whole-matrix solve picked another.
+    off-diagonal nonzeros and solves them block by block
+    (``_bottom_by_block``); a connected matrix is one block, solved whole.
+    Where the k-th and (k+1)-th eigenvalues tie, as when there are more than
+    k components, the bottom-k eigenspace is not unique and the block merge
+    order picks one basis of it, where a whole-matrix solve would pick
+    another.
 
     The spectrum mode returns all N eigenvalues: one Householder
     reduction to tridiagonal form, root-free QR for every eigenvalue, and
@@ -173,13 +177,7 @@ def _eigh(matrix, k=None, spectrum=False):
         if spectrum:
             w, v = _spectrum(a, k)
         else:
-            blocks, isolated = _components(a)
-            if len(blocks) + isolated.size == 1:
-                w, v = scipy.linalg.eigh(
-                    a, subset_by_index=(0, k - 1), driver="evr", check_finite=False
-                )
-            else:
-                w, v = _bottom_by_block(a, k, blocks, isolated)
+            w, v = _bottom_by_block(a, k, *_components(a))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     if not np.all(np.isfinite(w)):

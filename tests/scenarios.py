@@ -51,10 +51,12 @@ def two_cluster_spec(noise: float = 0.0, seed: int = 0) -> FeederSpec:
 
 # --- many-transformer degenerate scenario ------------------------------------
 # A noise-free star feeder with 24 transformers. At the explicit width
-# MANY_XFMR_SIGMA the similarity between meters of different transformers
-# underflows while each group stays connected, so the bottom 24 Laplacian
-# eigenvalues are zero to roundoff: one tightly clustered eigenvalue that
-# an eigensolver must still split into an orthonormal frame.
+# MANY_XFMR_SIGMA most similarities between meters of different
+# transformers underflow to 0.0, but not all: the rest (at most about
+# 1e-21) join the groups into 2 connected components, of 115 and 5 meters,
+# not 24. Those weights are so small that the bottom 24 Laplacian
+# eigenvalues are still zero to roundoff: one tightly clustered eigenvalue
+# that an eigensolver must still split into an orthonormal frame.
 MANY_XFMR_SIGMA = 2e-5
 
 

@@ -17,7 +17,6 @@ from gridmap.feeder_sim import generate_profiles, simulate_voltages
 from gridmap.geo import EARTH_RADIUS_KM, euclidean_angle, haversine
 from gridmap.graph import ideal_graph, laplacian, voltage_similarity
 from gridmap.guarantee import certify
-from gridmap.multiview import MultiViewConfig
 from gridmap.spectral import eigendecompose, embed
 
 from dense_certificate import IDEAL_456, eigengap_and_separation, symmetric_noise, tangent_bound
@@ -239,14 +238,11 @@ def test_criterion_08_noise_robustness_curve():
 @functools.lru_cache(maxsize=1)
 def two_site_accuracies():
     """(single-view, multiview, raw-baseline) accuracy per seed."""
-    cfg = MultiViewConfig(lambda_reg=0.5)
     out = []
     for seed in range(20):
         data, xfmrs, truth = two_site_case(seed)
         single, _, _ = recover(data, xfmrs, 2, sigma=TWO_SITE_SIGMA, seed=seed)
-        multi, _, _ = recover(
-            data, xfmrs, 2, "multiview", sigma=TWO_SITE_SIGMA, seed=seed, cfg=cfg
-        )
+        multi, _, _ = recover(data, xfmrs, 2, "multiview", sigma=TWO_SITE_SIGMA, seed=seed)
         base, _, _ = recover(data, xfmrs, 2, "kmeans-baseline", seed=seed)
         out.append(tuple(evaluate(m, truth).accuracy for m in (single, multi, base)))
     return out

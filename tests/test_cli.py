@@ -5,6 +5,7 @@ so exit codes and the files written to --out can be checked without
 spawning subprocesses.
 """
 
+import argparse
 import dataclasses
 import json
 import os
@@ -234,6 +235,41 @@ def test_unknown_method_is_an_argparse_error(tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("flag", [["--lambda", "0.5"], ["--max-iters", "30"],
+                                  ["--final-view", "voltage"]], ids=lambda f: f[0])
+def test_removed_multiview_flags_exit_2(tmp_path, flag):
+    argv = cluster_args(tmp_path, k=2, method="multiview", out=tmp_path / "o") + flag
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert not (tmp_path / "o").exists()
+
+
+# Each subcommand's option dests, pinned: a change that adds or drops a knob
+# shows it here.
+OPTIONS = {
+    "simulate": ["config", "out", "spec"],
+    "cluster": [
+        "config", "dump_embedding", "dump_similarity", "geo_metric", "k", "locations",
+        "method", "out", "restarts", "seed", "sigma", "sigma_l", "tol", "transformers",
+        "voltages",
+    ],
+    "validate-assumption": [
+        "config", "ground_truth", "k", "out", "seed", "sigma", "transformers", "voltages",
+    ],
+    "evaluate": ["config", "ground_truth", "mapping", "out", "transformers"],
+    "sweep-noise": ["config", "noise_grid", "out", "restarts", "seed", "sigma", "spec", "trials"],
+}
+
+
+def test_option_sets_are_pinned():
+    sub = next(a for a in gridmap.cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: sorted(a.dest for a in p._actions if a.dest != "help")
+           for name, p in sub.choices.items()}
+    assert got == OPTIONS
+
+
 def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as err:
         main([])
@@ -285,9 +321,11 @@ def test_bad_config_exits_2(tmp_path, text):
         {"sigma": "abc"},
         {"restarts": "x"},
         {"lambda_reg": "x", "method": "multiview"},
+        {"tol": "x", "method": "multiview"},
         {"k": "2"},
+        {"sigmaa": 0.01},
     ],
-    ids=["geo-metric", "sigma", "restarts", "lambda", "k-as-text"],
+    ids=["geo-metric", "sigma", "restarts", "lambda", "tol", "k-as-text", "unknown-key"],
 )
 def test_bad_config_values_exit_2(tmp_path, capsys, config):
     out = simulate(tmp_path, two_cluster_spec(0.0, seed=0))
@@ -468,7 +506,7 @@ def test_two_site_rescue_through_the_cli(tmp_path):
     runs = {
         "single": {"sigma": sigma},
         "base": {"method": "kmeans-baseline"},
-        "multi": {"method": "multiview", "sigma": sigma, "lambda": 0.5},
+        "multi": {"method": "multiview", "sigma": sigma},
     }
     acc = {}
     for sub, extra in runs.items():

@@ -6,8 +6,8 @@ from gridmap.cluster import assign_transformers, evaluate, kmeans_pp
 from gridmap.errors import InputError
 from gridmap.feeder_sim import generate_profiles, simulate_voltages
 from gridmap.graph import SimilarityGraph, ideal_graph, laplacian, location_similarity, voltage_similarity
+import gridmap.multiview
 from gridmap.multiview import (
-    MultiViewConfig,
     combined_laplacian,
     disagreement,
     joint_objective,
@@ -77,8 +77,7 @@ def _two_site_graphs(seed):
 
 def test_identical_views_reduce_to_single_view():
     data, _, truth, g_v, _ = _two_site_graphs(0)
-    cfg = MultiViewConfig(lambda_reg=0.5)
-    emb, km, state = solve_multiview(g_v, g_v, truth.k, cfg, seed=0)
+    emb, km, state = solve_multiview(g_v, g_v, truth.k, seed=0)
     assert state.converged
     # after the first update both embeddings span the same subspace, so the
     # coupling term sits pinned at -k
@@ -88,21 +87,10 @@ def test_identical_views_reduce_to_single_view():
     assert same_partition(km.labels, single.labels)
 
 
-def test_zero_coupling_reduces_to_single_view():
-    data, _, truth, g_v, g_l = _two_site_graphs(1)
-    cfg = MultiViewConfig(lambda_reg=0.0)
-    emb, km, state = solve_multiview(g_v, g_l, truth.k, cfg, seed=1)
-    single = kmeans_pp(embed(laplacian(g_v), truth.k).X, truth.k, seed=1)
-    assert same_partition(km.labels, single.labels)
-    assert state.converged
-    assert state.n_iters == 1
-
-
 def test_objective_trace_is_monotone():
     for seed in (0, 3, 8):
         _, _, truth, g_v, g_l = _two_site_graphs(seed)
-        cfg = MultiViewConfig(lambda_reg=0.5)
-        _, _, state = solve_multiview(g_v, g_l, truth.k, cfg, seed=seed)
+        _, _, state = solve_multiview(g_v, g_l, truth.k, seed=seed)
         trace = np.asarray(state.objective_trace)
         assert trace.size >= 3
         slack = 1e-8 * np.maximum(1.0, np.abs(trace[:-1]))
@@ -114,8 +102,7 @@ def test_location_view_rescues_the_bridge_meter():
     single = kmeans_pp(embed(laplacian(g_v), truth.k).X, truth.k, seed=0)
     assert not same_partition(single.labels, truth.labels)
 
-    cfg = MultiViewConfig(lambda_reg=0.5)
-    _, km, _ = solve_multiview(g_v, g_l, truth.k, cfg, seed=0)
+    _, km, _ = solve_multiview(g_v, g_l, truth.k, seed=0)
     mapping = assign_transformers(km, data, xfmrs)
     report = evaluate(mapping, truth)
     assert report.exact_recovery
@@ -133,8 +120,7 @@ def test_feeder_with_matched_impedances_needs_both_views():
     assert single_acc < 1.0
 
     g_l = location_similarity(data)
-    cfg = MultiViewConfig(lambda_reg=0.5)
-    _, km, state = solve_multiview(g_v, g_l, spec.k, cfg, seed=0)
+    _, km, state = solve_multiview(g_v, g_l, spec.k, seed=0)
     report = evaluate(assign_transformers(km, data, xfmrs), truth)
     assert report.exact_recovery
 
@@ -143,21 +129,11 @@ def test_feeder_with_matched_impedances_needs_both_views():
     assert np.all(np.diff(trace) <= slack)
 
 
-def test_final_view_variants_run():
-    _, _, truth, g_v, g_l = _two_site_graphs(2)
-    for view in ("voltage", "location", "average"):
-        cfg = MultiViewConfig(lambda_reg=0.5, final_view=view)
-        emb, km, _ = solve_multiview(g_v, g_l, truth.k, cfg, seed=2)
-        assert emb.X.shape == (truth.labels.size, truth.k)
-        assert km.labels.shape == (truth.labels.size,)
-        assert km.centroids.shape == (truth.k, truth.k)
-
-
-def test_iteration_cap_warns_and_returns_best():
+def test_iteration_cap_warns_and_returns_best(monkeypatch):
     _, _, truth, g_v, g_l = _two_site_graphs(4)
-    cfg = MultiViewConfig(lambda_reg=0.5, max_outer_iters=1, tol=1e-15)
+    monkeypatch.setattr(gridmap.multiview, "MAX_OUTER_ITERS", 1)
     with pytest.warns(UserWarning, match="did not converge"):
-        _, _, state = solve_multiview(g_v, g_l, truth.k, cfg, seed=4)
+        _, _, state = solve_multiview(g_v, g_l, truth.k, seed=4, tol=1e-15)
     assert not state.converged
     assert state.n_iters == 1
     assert state.objective_trace[-1] == min(state.objective_trace)
@@ -167,18 +143,13 @@ def test_views_must_agree_on_size():
     _, _, truth, g_v, _ = _two_site_graphs(0)
     small = SimilarityGraph(matrix=np.eye(3), sigma=1.0, kind="location")
     with pytest.raises(InputError, match="number of meters"):
-        solve_multiview(g_v, small, 2, MultiViewConfig(), seed=0)
+        solve_multiview(g_v, small, 2, seed=0)
 
 
 def test_config_validation():
+    _, _, truth, g_v, g_l = _two_site_graphs(0)
     with pytest.raises(InputError):
-        MultiViewConfig(lambda_reg=-0.1).validate()
-    with pytest.raises(InputError):
-        MultiViewConfig(max_outer_iters=0).validate()
-    with pytest.raises(InputError):
-        MultiViewConfig(tol=0.0).validate()
-    with pytest.raises(InputError):
-        MultiViewConfig(final_view="both").validate()
+        solve_multiview(g_v, g_l, truth.k, seed=0, tol=0.0)
 
 
 def test_joint_objective_composition():

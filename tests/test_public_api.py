@@ -5,8 +5,8 @@ import gridmap
 PUBLIC = [
     "AUTO", "CanonicalAngles", "EARTH_RADIUS_KM", "EigenDecomposition", "EvalReport",
     "FeederSpec", "GridmapError", "GroundTruth", "GuaranteeReport", "InputError",
-    "KMeansResult", "LoadProfileSet", "MappingResult", "MeterDataset", "MultiViewConfig",
-    "MultiViewState", "NumericalError", "SimilarityGraph", "SpectralEmbedding",
+    "KMeansResult", "LoadProfileSet", "MappingResult", "MeterDataset", "MultiViewState",
+    "NumericalError", "SimilarityGraph", "SpectralEmbedding",
     "TransformerSet", "assign_transformers", "attach_transformers", "canonical_angles",
     "certify", "combined_laplacian", "disagreement", "eigendecompose", "embed",
     "euclidean_angle", "evaluate", "fix_signs", "generate_profiles", "haversine", "ideal_graph",
