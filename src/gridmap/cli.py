@@ -38,6 +38,7 @@ from .ingest import (
     load_dataset,
     load_ground_truth,
     load_transformers,
+    open_output,
     save_dataset,
     save_ground_truth,
     save_transformers,
@@ -133,7 +134,7 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def _write_json(path, doc) -> None:
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -149,7 +150,7 @@ def _jsonable(value):
 
 
 def _write_matrix_csv(path, ids, header_prefix, matrix) -> None:
-    with open(path, "w", newline="") as fh:
+    with open_output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow([header_prefix, *(f"c{j}" for j in range(matrix.shape[1]))])
         for name, row in zip(ids, matrix):
@@ -159,7 +160,7 @@ def _write_matrix_csv(path, ids, header_prefix, matrix) -> None:
 def cmd_simulate(args) -> int:
     spec = FeederSpec.from_json_file(args.spec)
     data, xfmrs, truth = simulate_voltages(spec, generate_profiles(spec))
-    os.makedirs(args.out, exist_ok=True)
+    open_output(args.out, directory=True)
     save_dataset(
         data,
         os.path.join(args.out, "voltages.csv"),
@@ -218,7 +219,7 @@ def cmd_cluster(args) -> int:
         restarts=args.restarts, sigma_l=args.sigma_l, geo_metric=args.geo_metric, tol=args.tol,
     )
 
-    os.makedirs(args.out, exist_ok=True)
+    open_output(args.out, directory=True)
     if args.dump_similarity:
         if g_v is None:  # the raw-voltage baseline builds no graph
             g_v = voltage_similarity(data, sigma=args.sigma)
@@ -255,13 +256,13 @@ def cmd_validate(args) -> int:
     g_v = voltage_similarity(data, sigma=args.sigma)
     report = certify(g_v, truth, k)
 
-    os.makedirs(args.out, exist_ok=True)
+    open_output(args.out, directory=True)
     doc = {f.name: _jsonable(getattr(report, f.name)) for f in dataclasses.fields(report)}
     doc["seed"] = args.seed
     doc["version"] = __version__
     _write_json(os.path.join(args.out, "guarantee.json"), doc)
 
-    with open(os.path.join(args.out, "eigs.csv"), "w", newline="") as fh:
+    with open_output(os.path.join(args.out, "eigs.csv")) as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "ideal", "real"])
         for i, (wi, wr) in enumerate(zip(report.ideal_eigenvalues, report.real_eigenvalues)):
@@ -278,7 +279,7 @@ def cmd_evaluate(args) -> int:
     truth = load_ground_truth(args.ground_truth, mapping.meter_ids, xfmrs)
     report = evaluate(mapping, truth)
 
-    os.makedirs(args.out, exist_ok=True)
+    open_output(args.out, directory=True)
     doc = {
         "accuracy": report.accuracy,
         "exact_recovery": report.exact_recovery,
@@ -357,9 +358,9 @@ def cmd_sweep(args) -> int:
             exact += report.exact_recovery
         rows.append((noise, exact / args.trials, float(np.mean(accs))))
 
-    os.makedirs(args.out, exist_ok=True)
+    open_output(args.out, directory=True)
     path = os.path.join(args.out, "sweep.csv")
-    with open(path, "w", newline="") as fh:
+    with open_output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["noise_std_pu", "success_rate", "mean_accuracy", "trials"])
         for noise, rate, acc in rows:

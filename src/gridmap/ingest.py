@@ -35,6 +35,7 @@ import array
 import csv
 import itertools
 import math
+import os
 import re
 import warnings
 from contextlib import contextmanager
@@ -346,9 +347,23 @@ def load_ground_truth(path, meters, xfmrs: TransformerSet) -> GroundTruth:
     )
 
 
+def open_output(path, directory=False):
+    """Make the output directory ``path``, or open the output file ``path``
+    for writing. Every file the package and its command line write goes
+    through here, so a path that cannot be written is bad input
+    (InputError) that names it, not an OSError."""
+    try:
+        if directory:
+            os.makedirs(path, exist_ok=True)
+            return None
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def save_dataset(ds: MeterDataset, voltages_path, locations_path=None) -> None:
     """Write a dataset back to CSV in the format load_dataset reads."""
-    with open(voltages_path, "w", newline="") as fh:
+    with open_output(voltages_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["meter_id", *ds.timestamps])
         for i, m in enumerate(ds.meter_ids):
@@ -364,7 +379,7 @@ def save_transformers(xfmrs: TransformerSet, path) -> None:
 
 
 def save_ground_truth(truth: GroundTruth, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open_output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["meter_id", "xfmr_id"])
         for m in truth.meter_ids:
@@ -372,7 +387,7 @@ def save_ground_truth(truth: GroundTruth, path) -> None:
 
 
 def _save_coords(ids, coords, id_col, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open_output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow([id_col, "lat_deg", "lon_deg"])
         for i, name in enumerate(ids):

@@ -13,12 +13,15 @@ but only the eigenvectors it is asked for.
 A Gaussian kernel graph whose far pairs underflow to 0.0 has a Laplacian
 that is block diagonal under a permutation, one block per connected
 component, and its eigenpairs are the union of the blocks' eigenpairs.
-``embed`` solves every matrix block by block, which is exact and costs the
-sum of the blocks' cubes instead of N cubed; a connected matrix is the
-one-block case and goes to the solver whole, uncopied. ``eigendecompose``
-always solves the whole matrix: split into blocks, its eigenvalues would
-move by a few ulp (the ideal [4, 30, 6] Laplacian's 4.0 becomes 4 - 4 ulp),
-and the certificate that calls it reports them to the bit.
+``by_component`` solves such a matrix block by block with a solver it is
+handed and merges the pieces, which is exact and costs the sum of the
+blocks' cubes instead of N cubed; a connected matrix is the one-block case
+and goes to the solver whole, uncopied. ``embed`` hands it the bottom-k
+solve, and the certificate hands it ``eigendecompose`` to get every
+measured eigenvalue. ``eigendecompose`` itself always solves the matrix it
+is given whole: it is the dense oracle the certificate is tested against,
+and split into blocks its eigenvalues would move by a few ulp (the ideal
+[4, 30, 6] Laplacian's 4.0 becomes 4 - 4 ulp).
 """
 from __future__ import annotations
 
@@ -100,45 +103,54 @@ def _components(a):
     return blocks, isolated
 
 
-def _bottom_by_block(a, k, blocks, isolated):
-    """The k smallest eigenpairs of a matrix that is block diagonal under a
-    permutation, solved block by block.
+def by_component(a, k, solve):
+    """Eigenvalues and the k bottom eigenvectors of a symmetric matrix,
+    solved one connected component of its off-diagonal nonzeros at a time.
 
-    The k smallest eigenvalues of the whole lie among each block's
-    min(k, n_c) smallest, so each block of two or more nodes gets one evr
-    call, restricted to that many pairs, and an isolated node i contributes
-    a_ii with the unit vector e_i. One stable sort by (eigenvalue, the
-    component's lowest node) merges them; among tied eigenvalues of one
-    block the solver's order is kept. A block that holds every node is
-    ``a`` itself, not a copy; its pairs come out in the solver's ascending
-    order and land in their own columns, so a connected matrix gets the bits
-    of one whole-matrix evr call.
+    The matrix is block diagonal under a permutation, so its eigenpairs are
+    the union of the blocks'. ``solve(block, m)`` returns a block's
+    ascending eigenvalues, at least m of them, and the eigenvectors of the
+    first m, where m = min(k, block size); the k smallest eigenvalues of the
+    whole lie among those. An isolated node i contributes a_ii with the unit
+    vector e_i. One stable sort by (eigenvalue, the component's lowest node)
+    merges every value returned, ascending; among tied eigenvalues of one
+    block the solver's order is kept, so each block's share of the bottom k
+    is a prefix of its values and its vectors land in their columns. A block
+    that holds every node is ``a`` itself, not a copy; its values come out
+    in the solver's order and its vectors in their own columns, so a
+    connected matrix gets the bits of one whole-matrix solve.
     """
+    blocks, isolated = _components(a)
     n = a.shape[0]
-    values, firsts, parts = [], [], []
+    values, firsts, vectors = [], [], []
     for nodes in blocks:
-        w, v = scipy.linalg.eigh(
-            a if nodes.size == n else a[np.ix_(nodes, nodes)],
-            subset_by_index=(0, min(k, nodes.size) - 1), driver="evr", check_finite=False,
-        )
+        w, v = solve(a if nodes.size == n else a[np.ix_(nodes, nodes)], min(k, nodes.size))
         values.append(w)
         firsts.append(np.full(w.size, nodes[0]))
-        parts.append((nodes, v))
+        vectors.append(v)
     values.append(a[isolated, isolated])
     firsts.append(isolated)
-    w = np.concatenate(values)
-    picked = np.lexsort((np.concatenate(firsts), w))[:k]
-    column = np.full(w.size, -1)
-    column[picked] = np.arange(k)
+    merged = np.concatenate(values)
+    order = np.lexsort((np.concatenate(firsts), merged))
+    column = np.full(order.size, -1)
+    column[order[:k]] = np.arange(k)
     x = np.zeros((n, k))
     start = 0
-    for nodes, v in parts:
+    for nodes, w, v in zip(blocks, values, vectors):
+        # a block's vectors belong to its first values; the next block's
+        # values start after all of this block's, not after its vectors
         cols = column[start:start + v.shape[1]]
         x[np.ix_(nodes, cols[cols >= 0])] = v[:, cols >= 0]
-        start += v.shape[1]
+        start += w.size
     cols = column[start:]
     x[isolated[cols >= 0], cols[cols >= 0]] = 1.0
-    return w[picked], x
+    return merged[order], x
+
+
+def _bottom(block, m):
+    """The m smallest eigenpairs of a symmetric block, from the relatively
+    robust representations driver, which stops after them."""
+    return scipy.linalg.eigh(block, subset_by_index=(0, m - 1), driver="evr", check_finite=False)
 
 
 def _eigh(matrix, k=None, spectrum=False):
@@ -147,9 +159,8 @@ def _eigh(matrix, k=None, spectrum=False):
 
     The bottom-k mode returns only those k eigenvalues, from the relatively
     robust representations driver, which stops after the requested
-    eigenpairs. It first labels the connected components of the matrix's
-    off-diagonal nonzeros and solves them block by block
-    (``_bottom_by_block``); a connected matrix is one block, solved whole.
+    eigenpairs. It solves the matrix one connected component at a time
+    (``by_component``); a connected matrix is one block, solved whole.
     Where the k-th and (k+1)-th eigenvalues tie, as when there are more than
     k components, the bottom-k eigenspace is not unique and the block merge
     order picks one basis of it, where a whole-matrix solve would pick
@@ -158,8 +169,8 @@ def _eigh(matrix, k=None, spectrum=False):
     The spectrum mode returns all N eigenvalues: one Householder
     reduction to tridiagonal form, root-free QR for every eigenvalue, and
     bisection with inverse iteration for the k wanted vectors, which the
-    reduction's reflectors then carry back. It never splits into blocks
-    (see the module docstring).
+    reduction's reflectors then carry back. It always solves the whole
+    matrix (see the module docstring).
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -177,7 +188,8 @@ def _eigh(matrix, k=None, spectrum=False):
         if spectrum:
             w, v = _spectrum(a, k)
         else:
-            w, v = _bottom_by_block(a, k, *_components(a))
+            w, v = by_component(a, k, _bottom)
+            w = w[:k]  # the merge holds up to k values of each block
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     if not np.all(np.isfinite(w)):

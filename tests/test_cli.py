@@ -634,6 +634,51 @@ def test_sweep_rejects_bad_input(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("command, target", [
+    ("simulate", "out"),
+    ("simulate", "voltages.csv"),
+    ("cluster", "out"),
+    ("cluster", "dump-similarity"),
+    ("cluster", "dump-embedding"),
+    ("cluster", "mapping.json"),
+    ("validate-assumption", "out"),
+    ("validate-assumption", "eigs.csv"),
+    ("evaluate", "out"),
+    ("sweep-noise", "out"),
+    ("sweep-noise", "sweep.csv"),
+])
+def test_unwritable_outputs_exit_2(tmp_path, capsys, command, target):
+    spec = two_cluster_spec(0.0, seed=0)
+    src = simulate(tmp_path, spec)
+    spec_path = write_spec(tmp_path / "spec.json", spec)
+    assert main(cluster_args(src, k=2, out=src)) == 0  # the mapping evaluate reads
+    argv = {
+        "simulate": ["simulate", "--spec", spec_path],
+        "cluster": cluster_args(src, k=2),
+        "validate-assumption": ["validate-assumption", "--voltages", str(src / "voltages.csv"),
+                                "--transformers", str(src / "transformers.csv"),
+                                "--ground-truth", str(src / "ground_truth.csv")],
+        "evaluate": evaluate_args(src, src / "mapping.json"),
+        "sweep-noise": ["sweep-noise", "--spec", spec_path, "--noise-grid", "0", "--trials", "1"],
+    }[command]
+    out = tmp_path / "o"
+    if target == "out":
+        (tmp_path / "file").write_text("")
+        out = bad = tmp_path / "file" / "sub"  # a directory inside a regular file
+    elif target.startswith("dump-"):
+        bad = tmp_path / "missing" / "dump.csv"  # a file in a missing directory
+        argv += ["--" + target, str(bad)]
+    else:
+        bad = out / target  # a directory where the output file goes
+        bad.mkdir(parents=True)
+    argv += ["--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"gridmap: error: cannot write {bad}: " in err
+    assert "Traceback" not in err
+
+
 def _exit_code(argv):
     """main's return code, or argparse's exit code for a rejected flag."""
     try:
@@ -647,7 +692,7 @@ def _exit_code(argv):
     ("cluster", {"sigma": "inf"}),
     ("cluster", {"config": {"sigma": float("nan")}}),
     ("cluster", {"method": "multiview", "sigma_l": "nan"}),
-    ("cluster", {"method": "multiview", "lambda": "nan"}),
+    ("cluster", {"method": "multiview", "tol": "inf"}),
     ("cluster", {"method": "multiview", "tol": "nan"}),
     ("validate-assumption", {"sigma": "nan"}),
     ("sweep-noise", {"noise_grid": "0.0,nan"}),
@@ -655,7 +700,7 @@ def _exit_code(argv):
     ("simulate", {"xfmr_impedance_pu": [0.004, float("nan")]}),
     ("simulate", {"line_resistance_pu": float("inf")}),
     ("simulate", {"T": float("nan")}),
-], ids=["sigma-nan", "sigma-inf", "config-sigma-nan", "sigma-l-nan", "lambda-nan", "tol-nan",
+], ids=["sigma-nan", "sigma-inf", "config-sigma-nan", "sigma-l-nan", "tol-inf", "tol-nan",
         "validate-sigma-nan", "noise-grid-nan", "spec-noise-nan", "spec-impedance-nan",
         "spec-line-inf", "spec-T-nan"])
 def test_non_finite_numbers_exit_2(tmp_path, route, flags):

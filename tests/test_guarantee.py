@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
+import gridmap.guarantee
 import scenarios
 from dense_certificate import IDEAL_456, eigengap_and_separation, symmetric_noise, tangent_bound
 from gridmap.errors import InputError
 from gridmap.graph import SimilarityGraph, ideal_graph, laplacian, voltage_similarity
 from gridmap.guarantee import GuaranteeReport, canonical_angles, certify
 from gridmap.feeder_sim import generate_profiles, simulate_voltages
-from gridmap.spectral import embed, eigendecompose
+from gridmap.spectral import _components, embed, eigendecompose
 
 
 def perturbed_ideal_graph(truth, norm2, seed):
@@ -257,9 +258,55 @@ def feeder_case():
     return voltage_similarity(data), truth
 
 
+def connected_feeder_case():
+    # the noise links every meter: one component
+    spec = scenarios.three_cluster_spec(noise=1e-4, seed=1)
+    data, _, truth = simulate_voltages(spec, generate_profiles(spec))
+    return voltage_similarity(data), truth
+
+
 def perturbed_456_case():
     truth = scenarios.make_truth([4, 5, 6])
     return perturbed_ideal_graph(truth, 0.01, seed=11), truth
+
+
+def many_xfmr_case():
+    # two components, of 115 and 5 meters, at k = 24
+    spec = scenarios.many_xfmr_spec()
+    data, _, truth = simulate_voltages(spec, generate_profiles(spec))
+    return voltage_similarity(data, sigma=scenarios.MANY_XFMR_SIGMA), truth
+
+
+def split_graph(sizes, linked, seed):
+    """The ideal graph of groups of the given sizes, with its in-group
+    similarities lowered at random and the groups in ``linked`` joined by
+    weak edges. Every other group is a component of its own, a group of
+    one meter an isolated meter. The meters are shuffled, so the components
+    interleave."""
+    truth = scenarios.make_truth(sizes)
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.0, 0.3, (truth.labels.size,) * 2)
+    u = 0.5 * (u + u.T)
+    same = truth.labels[:, None] == truth.labels[None, :]
+    joined = np.isin(truth.labels, linked)
+    weak = joined[:, None] & joined[None, :] & ~same
+    m = np.where(same, 1.0 - u, np.where(weak, 0.05 * u, 0.0))
+    np.fill_diagonal(m, 1.0)
+    perm = rng.permutation(truth.labels.size)
+    labels = truth.labels[perm]
+    truth = dataclasses.replace(truth, labels=labels, mapping={
+        meter: truth.xfmr_ids[j] for meter, j in zip(truth.meter_ids, labels)})
+    return SimilarityGraph(matrix=m[np.ix_(perm, perm)], sigma=1.0, kind="voltage"), truth
+
+
+def isolated_meters_case():
+    # two isolated meters; groups 1 and 3 form one component, group 4 another
+    return split_graph([1, 4, 1, 5, 6], linked=[1, 3], seed=21)
+
+
+def small_components_case():
+    # at k = 5, three of the four components have fewer than k + 1 meters
+    return split_graph([2, 3, 8, 9, 2], linked=[2, 3], seed=22)
 
 
 @pytest.mark.parametrize("case, k, bounded", [
@@ -268,6 +315,11 @@ def perturbed_456_case():
     (perturbed_456_case, 6, True),     # k > truth.k, ideal 4 < 5: group 0 whole
     (perturbed_456_case, 4, False),    # k > truth.k, ideal 4 = 4: no separation
     (perturbed_456_case, 2, False),    # k < truth.k, ideal 0 = 0: no separation
+    # feeder_case's graph has 2 components; these add more components,
+    # isolated meters and components smaller than k + 1
+    (many_xfmr_case, 24, True),
+    (isolated_meters_case, 5, True),
+    (small_components_case, 5, True),
 ])
 def test_closed_form_certificate_equals_the_decomposed_one(case, k, bounded):
     g, truth = case()
@@ -275,3 +327,31 @@ def test_closed_form_certificate_equals_the_decomposed_one(case, k, bounded):
     assert_reports_equal(report, dense_certify(g, truth, k))
     assert (report.separation > 0.0) == bounded
     assert (report.bound_holds_2 is not None) == bounded
+
+
+def test_connected_certificate_keeps_the_whole_matrix_bits():
+    g, truth = connected_feeder_case()
+    lap = laplacian(g)
+    blocks, isolated = _components(lap)
+    assert len(blocks) == 1 and isolated.size == 0
+    report = certify(g, truth, 3)
+    whole = eigendecompose(lap).eigenvalues
+    assert report.real_eigenvalues.tobytes() == whole.tobytes()
+    assert report.delta == float(report.ideal_eigenvalues[3] - whole[2])
+
+
+@pytest.mark.parametrize("case, solves", [(many_xfmr_case, 2), (connected_feeder_case, 1)])
+def test_certify_decomposes_each_component_through_the_module_name(monkeypatch, case, solves):
+    # the benchmark's tracer wraps gridmap.guarantee.eigendecompose to time
+    # the certificate's solves, so each one has to go through that name
+    g, truth = case()
+    sizes = []
+
+    def counting(matrix, k=None):
+        sizes.append(matrix.shape[0])
+        return eigendecompose(matrix, k)
+
+    monkeypatch.setattr(gridmap.guarantee, "eigendecompose", counting)
+    certify(g, truth, truth.k)
+    assert len(sizes) == solves
+    assert sum(sizes) == g.matrix.shape[0]  # no isolated meters in either
