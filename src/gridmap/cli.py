@@ -341,22 +341,23 @@ def cmd_sweep(args) -> int:
     if args.trials < 1:
         raise InputError("trials must be positive")
 
-    rows = []
-    for noise in grid:
-        accs = []
-        exact = 0
-        for trial in range(args.trials):
-            spec = dataclasses.replace(
-                base, noise_std_pu=noise, seed=base.seed + trial
-            )
-            data, xfmrs, truth = simulate_voltages(spec, generate_profiles(spec))
+    # a trial's load profiles depend on its seed, not on the noise level, so
+    # each is drawn once; every level keeps its accuracies in trial order
+    accs = [[] for _ in grid]
+    exact = [0] * len(grid)
+    for trial in range(args.trials):
+        profiles = generate_profiles(dataclasses.replace(base, seed=base.seed + trial))
+        for level, noise in enumerate(grid):
+            spec = dataclasses.replace(base, noise_std_pu=noise, seed=base.seed + trial)
+            data, xfmrs, truth = simulate_voltages(spec, profiles)
             mapping, _, _ = recover(
                 data, xfmrs, spec.k, sigma=args.sigma, seed=spec.seed, restarts=args.restarts
             )
             report = evaluate(mapping, truth)
-            accs.append(report.accuracy)
-            exact += report.exact_recovery
-        rows.append((noise, exact / args.trials, float(np.mean(accs))))
+            accs[level].append(report.accuracy)
+            exact[level] += report.exact_recovery
+    rows = [(noise, exact[level] / args.trials, float(np.mean(accs[level])))
+            for level, noise in enumerate(grid)]
 
     open_output(args.out, directory=True)
     path = os.path.join(args.out, "sweep.csv")

@@ -9,7 +9,16 @@ where d is the Euclidean distance between voltage time series (voltage
 graph) or a geodesic distance between coordinates (location graph). The
 unnormalized Laplacian is L = D - M with D the diagonal degree matrix
 d_ii = sum_j m_ij. Kernel underflow for far-apart nodes simply clamps the
-weight to 0.0, which is the intended behavior rather than an error.
+weight to 0.0, which is the intended behavior rather than an error; so
+does overflow of d / sigma for a subnormal width, as exp(-inf) = 0.
+
+The kernel works on the N(N-1)/2 condensed distances of the pairs i < j,
+in the row-major order of ``scipy.spatial.distance.pdist``: for voltages
+that is what ``pdist`` returns, and for locations the geodesic metric is
+evaluated on those pairs only. The width, the division, square, negation
+and exponential all act on that one vector in place, and a single
+``squareform`` writes the symmetric N x N matrix. So building a graph
+peaks at one N x N matrix plus the condensed half, 1.5 N^2 doubles.
 """
 from __future__ import annotations
 
@@ -19,7 +28,8 @@ import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
 from .errors import InputError
-from .geo import pairwise_geo
+# pairwise_geo stays imported: perfbench/tracing.py wraps it on this module
+from .geo import GEO_METRICS, pairwise_geo  # noqa: F401
 from .ingest import GroundTruth, MeterDataset
 from .spectral import max_asymmetry
 
@@ -46,24 +56,33 @@ def median_pairwise(distances: np.ndarray) -> float:
     """
     if distances.ndim != 2 or distances.shape[0] != distances.shape[1]:
         raise InputError(f"expected a square distance matrix, got shape {distances.shape}")
-    iu = np.triu_indices(distances.shape[0], k=1)
-    vals = distances[iu]
-    med = float(np.median(vals))
+    return _median_width(distances[np.triu_indices(distances.shape[0], k=1)])
+
+
+def _median_width(pairs: np.ndarray) -> float:
+    """``median_pairwise`` of the condensed i < j distances."""
+    med = float(np.median(pairs))
     if med > 0.0:
         return med
-    positive = vals[vals > 0.0]
+    positive = pairs[pairs > 0.0]
     return float(positive.mean()) if positive.size else 1.0
 
 
-def _kernel(distances: np.ndarray, sigma) -> SimilarityGraph:
+def _kernel(pairs: np.ndarray, sigma) -> SimilarityGraph:
+    """Gaussian kernel matrix from condensed i < j distances, which it
+    overwrites."""
     if sigma == AUTO:
-        width = median_pairwise(distances)
+        width = _median_width(pairs)
     else:
         width = float(sigma)
         if not 0.0 < width < np.inf:
             raise InputError("sigma must be positive and finite")
-    with np.errstate(under="ignore"):
-        m = np.exp(-((distances / width) ** 2))
+    with np.errstate(under="ignore", over="ignore"):
+        pairs /= width
+        np.square(pairs, out=pairs)
+        np.negative(pairs, out=pairs)
+        np.exp(pairs, out=pairs)
+    m = squareform(pairs)
     np.fill_diagonal(m, 1.0)
     return SimilarityGraph(matrix=m, sigma=width, kind="")
 
@@ -72,10 +91,24 @@ def voltage_similarity(data: MeterDataset, sigma=AUTO) -> SimilarityGraph:
     """Gaussian kernel on Euclidean distances between voltage rows."""
     if data.n_meters < 2:
         raise InputError("need at least 2 meters")
-    d = squareform(pdist(data.voltages))
-    g = _kernel(d, sigma)
+    g = _kernel(pdist(data.voltages), sigma)
     g.kind = "voltage"
     return g
+
+
+def _pair_geo(points: np.ndarray, metric: str) -> np.ndarray:
+    """Condensed i < j geodesic distances (km), one row of pairs per call."""
+    if not isinstance(metric, str) or metric not in GEO_METRICS:  # a list would not hash
+        raise InputError(f"unknown geo metric: {metric!r}")
+    distance = GEO_METRICS[metric]
+    points = np.asarray(points, dtype=float)
+    n = points.shape[0]
+    pairs = np.empty(n * (n - 1) // 2)
+    start = 0
+    for i in range(n - 1):
+        pairs[start:start + n - 1 - i] = distance(points[i], points[i + 1:])
+        start += n - 1 - i
+    return pairs
 
 
 def location_similarity(
@@ -84,10 +117,7 @@ def location_similarity(
     """Gaussian kernel on geodesic distances (km) between meter coordinates."""
     if data.locations is None:
         raise InputError("dataset has no meter locations")
-    d = pairwise_geo(data.locations, metric=metric)
-    d = 0.5 * (d + d.T)
-    np.fill_diagonal(d, 0.0)
-    g = _kernel(d, sigma)
+    g = _kernel(_pair_geo(data.locations, metric), sigma)
     g.kind = "location"
     return g
 

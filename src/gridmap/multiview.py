@@ -11,6 +11,16 @@ indefinite) matrix L - lambda * H H'. Each half-step minimizes the joint
 objective exactly in its block, so the trace of objective values never
 increases. The final labels come from k-means++ on the voltage view's rows.
 
+The objective needs no N x N products: the eigenvalues w_v of the
+v-step's combined matrix sum to Tr(Hv' (Lv - lambda Hl Hl') Hv), so
+
+    Tr(Hv' Lv Hv) = sum(w_v) + lambda * ||Hv' Hl||_F^2,
+    J = sum(w_v) + Tr(Hl' Ll Hl),
+
+with Tr(Hl' Ll Hl) carried over from the last l-step, and symmetrically
+after an l-step. Both combined matrices are built in one reused N x N
+buffer. ``joint_objective`` evaluates J from the traces directly.
+
 Every caller runs the same coupling weight (LAMBDA_REG) and iteration cap
 (MAX_OUTER_ITERS), so they are constants; only the convergence tolerance
 is a parameter, with its default TOL.
@@ -46,9 +56,13 @@ def disagreement(h_a: np.ndarray, h_b: np.ndarray) -> float:
     return -float(np.linalg.norm(h_a.T @ h_b) ** 2)
 
 
-def combined_laplacian(lap: np.ndarray, h_other: np.ndarray, lambda_reg: float) -> np.ndarray:
-    """One view's Laplacian lowered along the other view's embedding."""
-    return lap - lambda_reg * (h_other @ h_other.T)
+def combined_laplacian(lap: np.ndarray, h_other: np.ndarray, lambda_reg: float,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """One view's Laplacian lowered along the other view's embedding,
+    L - lambda * H H', formed in one N x N array: ``out`` when given."""
+    low = np.matmul(h_other, h_other.T, out=out)
+    np.multiply(lambda_reg, low, out=low)
+    return np.subtract(lap, low, out=low)
 
 
 def joint_objective(l_v, l_l, h_v, h_l, lambda_reg: float) -> float:
@@ -84,19 +98,25 @@ def solve_multiview(
     l_l = laplacian(g_l)
     if l_v.shape != l_l.shape:
         raise InputError("views disagree on the number of meters")
+    lam = LAMBDA_REG
+    work = np.empty_like(l_v)  # every half-step's combined matrix
 
     emb_v = embed(l_v, k)
     emb_l = embed(l_l, k)
-    lam = LAMBDA_REG
+    tr_v, tr_l = emb_v.eigenvalues.sum(), emb_l.eigenvalues.sum()
 
     state = MultiViewState(H_v=emb_v.X, H_l=emb_l.X)
     trace = state.objective_trace
-    trace.append(joint_objective(l_v, l_l, emb_v.X, emb_l.X, lam))
+    trace.append(float(tr_v + tr_l + lam * disagreement(emb_v.X, emb_l.X)))
     for it in range(1, MAX_OUTER_ITERS + 1):
-        emb_v = embed(combined_laplacian(l_v, emb_l.X, lam), k)
-        trace.append(joint_objective(l_v, l_l, emb_v.X, emb_l.X, lam))
-        emb_l = embed(combined_laplacian(l_l, emb_v.X, lam), k)
-        trace.append(joint_objective(l_v, l_l, emb_v.X, emb_l.X, lam))
+        emb_v = embed(combined_laplacian(l_v, emb_l.X, lam, out=work), k)
+        w_v = emb_v.eigenvalues.sum()
+        trace.append(float(w_v + tr_l))
+        tr_v = w_v - lam * disagreement(emb_v.X, emb_l.X)
+        emb_l = embed(combined_laplacian(l_l, emb_v.X, lam, out=work), k)
+        w_l = emb_l.eigenvalues.sum()
+        trace.append(float(tr_v + w_l))
+        tr_l = w_l - lam * disagreement(emb_v.X, emb_l.X)
         state.n_iters = it
         if abs(trace[-3] - trace[-1]) <= tol * max(1.0, abs(trace[-3])):
             state.converged = True

@@ -76,11 +76,23 @@ def _components(a):
 
     Returns the components of two or more nodes as ascending node arrays,
     ordered by lowest node, and the isolated nodes as one ascending array.
-    One pass over the matrix makes its N x N nonzero mask (one byte an
-    entry), which gives the isolated nodes. A breadth-first search over the
-    mask labels the rest: each step reads the rows and columns of a whole
-    frontier, and the search stops as soon as every node is labelled, so a
-    connected matrix with a full first row takes one step.
+    When row 0 has no zero off-diagonal entry, node 0 touches every other
+    node, so an N >= 2 matrix is one component, found from that row alone;
+    this covers every dense kernel graph and every matrix lowered by a dense
+    H H'. Otherwise ``_mask_components`` searches the nonzero mask.
+    """
+    n = a.shape[0]
+    if n > 1 and np.all(a[0, 1:]):
+        return [np.arange(n)], np.empty(0, dtype=np.intp)
+    return _mask_components(a)
+
+
+def _mask_components(a):
+    """``_components`` by search. One pass over the matrix makes its N x N
+    nonzero mask (one byte an entry), which gives the isolated nodes. A
+    breadth-first search over the mask labels the rest: each step reads the
+    rows and columns of a whole frontier, and the search stops as soon as
+    every node is labelled.
     """
     nz = a != 0
     np.fill_diagonal(nz, False)

@@ -21,6 +21,7 @@ import gridmap.multiview
 import gridmap.spectral
 import reference_kmeans
 from gridmap.cli import main
+from gridmap.feeder_sim import generate_profiles, simulate_voltages
 from gridmap.ingest import save_dataset, save_ground_truth, save_transformers
 
 from scenarios import (
@@ -617,6 +618,36 @@ def test_sweep_noise_orders_rows_and_nails_the_clean_level(tmp_path):
     assert float(rows[0][1]) == 1.0
     assert float(rows[0][2]) == 1.0
     assert all(r[3] == "4" for r in rows)
+
+
+def test_sweep_draws_each_trials_profiles_once(tmp_path, monkeypatch):
+    spec = two_cluster_spec(0.0, seed=3)
+    spec_path = write_spec(tmp_path / "spec.json", spec)
+    calls = []
+
+    def counted(s):
+        calls.append(s.seed)
+        return generate_profiles(s)
+
+    monkeypatch.setattr(gridmap.cli, "generate_profiles", counted)
+    grid = [0.0, 5e-4, 2e-3]
+    out = tmp_path / "sweep"
+    assert main(["sweep-noise", "--spec", spec_path, "--noise-grid", "2e-3,0,5e-4",
+                 "--trials", "3", "--sigma", "0.002", "--out", str(out)]) == 0
+    assert calls == [3, 4, 5]
+
+    # each level keeps the accuracies of a fresh simulate + recover per trial
+    lines = (out / "sweep.csv").read_text().splitlines()[1:]
+    for line, noise in zip(lines, grid):
+        accs = []
+        for trial in range(3):
+            cell = dataclasses.replace(spec, noise_std_pu=noise, seed=spec.seed + trial)
+            data, xfmrs, truth = simulate_voltages(cell, generate_profiles(cell))
+            mapping, _, _ = gridmap.cli.recover(data, xfmrs, cell.k, sigma=0.002, seed=cell.seed)
+            accs.append(gridmap.evaluate(mapping, truth))
+        rate = sum(r.exact_recovery for r in accs) / 3
+        mean = float(np.mean([r.accuracy for r in accs]))
+        assert line == f"{noise!r},{rate!r},{mean!r},3"
 
 
 def test_sweep_rejects_bad_input(tmp_path):

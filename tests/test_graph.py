@@ -1,10 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist, squareform
 
 import scenarios
 from gridmap.errors import InputError
+from gridmap.feeder_sim import generate_profiles, simulate_voltages
+from gridmap.geo import pairwise_geo
 from gridmap.graph import (
     AUTO,
     SimilarityGraph,
@@ -103,8 +107,6 @@ def test_auto_sigma_is_median_distance():
     volts = 1.0 + 0.01 * rng.standard_normal((8, 30))
     data = _dataset(volts)
     g = voltage_similarity(data, sigma=AUTO)
-    from scipy.spatial.distance import pdist, squareform
-
     expected = median_pairwise(squareform(pdist(volts)))
     assert g.sigma == expected
     assert g.kind == "voltage"
@@ -176,3 +178,69 @@ def test_ideal_graph_is_binary_block_structure():
     expected[2:, 2:] = 1.0
     assert np.array_equal(g.matrix, expected)
     assert g.kind == "ideal"
+
+
+def test_subnormal_width_clamps_silently():
+    # d / 1e-320 overflows to inf for every distinct pair, and exp(-inf) = 0
+    locs = np.array([[0.7, -1.8], [0.7, -1.8 + 1e-5], [0.7 + 1e-5, -1.8]])
+    data = _dataset([[1.0, 1.0], [1.01, 1.0], [1.0, 1.02]], locs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g_v = voltage_similarity(data, sigma=1e-320)
+        g_l = location_similarity(data, sigma=1e-320)
+    assert np.array_equal(g_v.matrix, np.eye(3))
+    assert np.array_equal(g_l.matrix, np.eye(3))
+
+
+def scenario_datasets():
+    specs = {
+        "three-cluster": scenarios.three_cluster_spec(noise=1e-4, seed=1),
+        "two-cluster": scenarios.two_cluster_spec(noise=5e-4, seed=2),
+        "many-xfmr": scenarios.many_xfmr_spec(),
+        "shrunken-gap": scenarios.shrunken_gap_spec(seed=0),
+    }
+    for name, spec in specs.items():
+        yield name, simulate_voltages(spec, generate_profiles(spec))[0]
+    yield "two-site", scenarios.two_site_case(0)[0]
+
+
+SCENARIO_DATASETS = list(scenario_datasets())
+
+
+@pytest.mark.parametrize("sigma", [AUTO, scenarios.MANY_XFMR_SIGMA, 1e-3, 0.05])
+@pytest.mark.parametrize("name, data", SCENARIO_DATASETS)
+def test_voltage_kernel_is_the_dense_formula_bit_for_bit(name, data, sigma):
+    d = squareform(pdist(data.voltages))
+    width = median_pairwise(d) if sigma == AUTO else sigma
+    with np.errstate(under="ignore"):
+        want = np.exp(-((d / width) ** 2))
+    np.fill_diagonal(want, 1.0)
+    g = voltage_similarity(data, sigma=sigma)
+    assert g.sigma == width
+    assert g.matrix.tobytes() == want.tobytes()
+
+
+def dense_location_kernel(locations, sigma, metric):
+    """The kernel from the full distance matrix, averaged with its transpose."""
+    d = pairwise_geo(locations, metric=metric)
+    d = 0.5 * (d + d.T)
+    np.fill_diagonal(d, 0.0)
+    width = median_pairwise(d) if sigma == AUTO else sigma
+    with np.errstate(under="ignore"):
+        m = np.exp(-((d / width) ** 2))
+    np.fill_diagonal(m, 1.0)
+    return m, width
+
+
+@pytest.mark.parametrize("metric", ["haversine", "euclidean-angle"])
+@pytest.mark.parametrize("sigma", [AUTO, 0.3, 1000.0])
+@pytest.mark.parametrize("name, data", SCENARIO_DATASETS + [
+    ("antipodal", _dataset(np.ones((4, 2)), np.array(
+        [[0.0, 0.0], [0.0, math.pi], [0.3, -2.0], [-0.3, 2.0 - math.pi]]))),
+])
+def test_location_kernel_matches_the_dense_route(name, data, sigma, metric):
+    want, width = dense_location_kernel(data.locations, sigma, metric)
+    g = location_similarity(data, sigma=sigma, metric=metric)
+    assert g.sigma == pytest.approx(width, rel=1e-15)
+    assert np.max(np.abs(g.matrix - want)) <= 1e-15
+    assert g.matrix.tobytes() == g.matrix.T.tobytes()

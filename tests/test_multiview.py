@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import reference_multiview
 import scenarios
 from gridmap.cluster import assign_transformers, evaluate, kmeans_pp
 from gridmap.errors import InputError
@@ -57,6 +60,18 @@ def test_combined_laplacian_ignores_basis_rotation():
     a = combined_laplacian(lap, h, 0.5)
     b = combined_laplacian(lap, h @ rot, 0.5)
     assert np.allclose(a, b, atol=1e-12)
+
+
+def test_combined_laplacian_writes_the_formula_into_out():
+    rng = np.random.default_rng(4)
+    spec = scenarios.three_cluster_spec(noise=1e-4, seed=1)
+    lap = laplacian(voltage_similarity(simulate_voltages(spec, generate_profiles(spec))[0]))
+    h, _ = np.linalg.qr(rng.standard_normal((lap.shape[0], 3)))
+    want = lap - 0.5 * (h @ h.T)
+    out = np.full_like(lap, np.nan)
+    assert combined_laplacian(lap, h, 0.5, out=out) is out
+    assert out.tobytes() == want.tobytes()
+    assert combined_laplacian(lap, h, 0.5).tobytes() == want.tobytes()
 
 
 def test_coupling_shifts_null_eigenvalues_to_minus_lambda():
@@ -164,3 +179,33 @@ def test_joint_objective_composition():
         + 0.7 * disagreement(h_v, h_l)
     )
     assert val == pytest.approx(expected, rel=1e-12)
+
+
+def multiview_cases():
+    for seed in (0, 3, 8, 13):
+        _, _, truth, g_v, g_l = _two_site_graphs(seed)
+        yield f"two-site-{seed}", g_v, g_l, truth.k, seed
+    for name, spec in (("shrunken-gap", scenarios.shrunken_gap_spec(seed=0)),
+                       ("three-cluster", scenarios.three_cluster_spec(noise=3e-4, seed=1))):
+        data, _, _ = simulate_voltages(spec, generate_profiles(spec))
+        yield name, voltage_similarity(data), location_similarity(data, sigma=0.3), spec.k, 0
+
+
+@pytest.mark.parametrize("cap", [1, 30])
+@pytest.mark.parametrize("name, g_v, g_l, k, seed", list(multiview_cases()))
+def test_solve_matches_the_reference_solver(monkeypatch, name, g_v, g_l, k, seed, cap):
+    # the work buffer rebuilds combined_laplacian's bits, and the objective
+    # read off the eigenvalues is joint_objective's to roundoff
+    monkeypatch.setattr(gridmap.multiview, "MAX_OUTER_ITERS", cap)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        emb, km, state = solve_multiview(g_v, g_l, k, seed=seed, tol=1e-10)
+        ref_emb, ref_km, ref = reference_multiview.solve_multiview(g_v, g_l, k, seed=seed, tol=1e-10)
+    assert state.H_v.tobytes() == ref.H_v.tobytes()
+    assert state.H_l.tobytes() == ref.H_l.tobytes()
+    assert emb.X.tobytes() == ref_emb.X.tobytes()
+    assert np.array_equal(km.labels, ref_km.labels)
+    assert (state.n_iters, state.converged) == (ref.n_iters, ref.converged)
+    assert len(state.objective_trace) == len(ref.objective_trace)
+    for got, want in zip(state.objective_trace, ref.objective_trace):
+        assert got == pytest.approx(want, rel=1e-12)

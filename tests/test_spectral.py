@@ -9,7 +9,16 @@ from gridmap.feeder_sim import generate_profiles, simulate_voltages
 from gridmap.graph import ideal_graph, laplacian, location_similarity, voltage_similarity
 from gridmap.guarantee import canonical_angles
 from gridmap.multiview import combined_laplacian
-from gridmap.spectral import _components, _eigh, eigendecompose, embed, fix_signs, max_asymmetry
+import gridmap.spectral
+from gridmap.spectral import (
+    _components,
+    _eigh,
+    _mask_components,
+    eigendecompose,
+    embed,
+    fix_signs,
+    max_asymmetry,
+)
 
 
 def ideal_laplacian(sizes):
@@ -364,3 +373,43 @@ def test_embed_splits_the_many_transformer_feeder():
     blocks, isolated = _components(lap)
     assert len(blocks) > 1 and isolated.size == 0
     assert_embed_matches_full_solve(lap, spec.k)
+
+
+def shortcut_cases():
+    rng = np.random.default_rng(16)
+    for n in (2, 7, 40):
+        b = rng.standard_normal((n, n))
+        yield f"dense-{n}", b + b.T
+    for i in range(10):
+        n = int(rng.integers(3, 30))
+        a = np.where(rng.random((n, n)) < 0.05, rng.standard_normal((n, n)), 0.0)
+        if i % 2:
+            a[0, 1:] = rng.uniform(0.5, 1.0, n - 1)  # row 0 full, the rest sparse
+        yield f"sparse-{i}", a
+    yield "one", np.array([[3.0]])
+    yield "one-zero", np.zeros((1, 1))
+    for name, pair in (("both", [[1.0, 2.0], [2.0, 1.0]]), ("lower-only", [[1.0, 0.0], [2.0, 1.0]]),
+                       ("neither", [[1.0, 0.0], [0.0, 1.0]])):
+        yield f"two-{name}", np.array(pair)
+
+
+@pytest.mark.parametrize("name, a", list(shortcut_cases()))
+def test_components_shortcut_matches_the_mask_route(name, a):
+    blocks, isolated = _components(a)
+    want_blocks, want_isolated = _mask_components(a)
+    assert len(blocks) == len(want_blocks)
+    for got, want in zip(blocks, want_blocks):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert isolated.dtype == want_isolated.dtype and np.array_equal(isolated, want_isolated)
+
+
+def test_full_first_row_builds_no_mask(monkeypatch):
+    def no_mask(a):
+        raise AssertionError("the nonzero mask was built")
+
+    monkeypatch.setattr(gridmap.spectral, "_mask_components", no_mask)
+    rng = np.random.default_rng(17)
+    lap = laplacian(ideal_graph(scenarios.make_truth([3, 3])))
+    h, _ = np.linalg.qr(rng.standard_normal((6, 2)))
+    blocks, isolated = _components(combined_laplacian(lap, h, 0.5))
+    assert [b.tolist() for b in blocks] == [list(range(6))] and isolated.size == 0
