@@ -12,12 +12,14 @@ of the expanded form below.
 Both inner loops are array operations that give the same bits as the
 row-by-row loops kept in ``tests/reference_kmeans.py``:
 
-- Seeding takes each pick's squared distances as |x|^2 - 2 x.c + |c|^2, one
-  matrix-vector product. Where that cancels (at most 1e-6 (|x|^2 + |c|^2))
-  the rows are recomputed from differences, so points on or next to a
-  centroid keep the exact weights the loop gives them. The pick is the
-  cumulative-sum search that ``Generator.choice`` makes from one
-  ``rng.random()`` draw, so the random stream and every pick are unchanged.
+- Seeding runs up to LOCKSTEP restarts in lockstep. Each step takes the
+  squared distances to every restart's latest pick as
+  |x|^2 - 2 x.c + |c|^2, one matrix product. Where that cancels (at most
+  1e-6 (|x|^2 + |c|^2)) the entries are recomputed from differences, so
+  points on or next to a centroid keep the exact weights the loop gives
+  them. Each pick is the cumulative-sum search that ``Generator.choice``
+  makes from one ``rng.random()`` draw of that restart's own generator,
+  so every generator's stream and every pick are unchanged.
 - Lloyd's update groups the rows by label with one stable sort. Each
   centroid is the axis-0 sum of its group's slice over the count: the
   same rows in the same order as ``points[labels == c].mean(axis=0)``.
@@ -40,6 +42,7 @@ from .ingest import GroundTruth, MeterDataset, TransformerSet
 
 MAX_ITER = 300      # Lloyd iterations per restart
 TOL = 1e-9          # relative inertia change that ends Lloyd
+LOCKSTEP = 16       # restarts seeded together; bounds the (restarts, N) seeding arrays
 
 
 @dataclass
@@ -68,45 +71,75 @@ class EvalReport:
     n_meters: int
 
 
+def _draws(p: np.ndarray, rngs) -> np.ndarray:
+    """One pick per row of ``p``: row r's is ``rngs[r].choice(n, p=p[r])``,
+    the same index from the same single ``random()`` draw, without
+    choice's validation of ``p``."""
+    cdf = np.cumsum(p, axis=1)
+    cdf /= cdf[:, -1:]
+    return np.array(
+        [row.searchsorted(rng.random(), side="right") for row, rng in zip(cdf, rngs)],
+        dtype=np.intp,
+    )
+
+
 def _draw(p: np.ndarray, rng) -> int:
-    """``rng.choice(p.size, p=p)``: the same index from the same single
-    ``rng.random()`` draw, without choice's validation of ``p``."""
-    cdf = np.cumsum(p)
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    """``rng.choice(p.size, p=p)``: ``_draws`` for one row."""
+    return int(_draws(p[None, :], [rng])[0])
 
 
-def _sq_distances(points: np.ndarray, norms: np.ndarray, i) -> np.ndarray:
-    """Squared distances from every row of ``points`` to row ``i``.
+def _sq_distances(points: np.ndarray, norms: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """Squared distances from each picked row to every row of ``points``,
+    one row of the (len(picks), N) result per pick.
 
-    |x|^2 - 2 x.c + |c|^2 is one matrix-vector product, but it cancels when
-    x is near c; rows where it gives at most 1e-6 (|x|^2 + |c|^2) are taken
-    from differences instead, so duplicates of c score exactly 0.
+    |x|^2 - 2 x.c + |c|^2 is one matrix product for all picks, but it
+    cancels when x is near c; entries where it gives at most
+    1e-6 (|x|^2 + |c|^2) are taken from differences instead, so duplicates
+    of c score exactly 0.
     """
-    d = norms - 2.0 * (points @ points[i]) + norms[i]
-    near = d <= 1e-6 * (norms + norms[i])
-    if near.any():
-        diff = points[near] - points[i]
-        d[near] = np.einsum("ij,ij->i", diff, diff)
+    picked = norms[picks, None]
+    d = points[picks] @ points.T
+    d *= 2.0
+    np.subtract(norms, d, out=d)
+    d += picked
+    rows, cols = np.nonzero(d <= 1e-6 * (norms + picked))
+    if rows.size:
+        diff = points[cols] - points[picks[rows]]
+        d[rows, cols] = np.einsum("ij,ij->i", diff, diff)
     return d
 
 
-def _plusplus_seed(points: np.ndarray, k: int, rng) -> np.ndarray:
+def _plusplus_seeds(points: np.ndarray, k: int, rngs) -> np.ndarray:
+    """k-means++ seeds for each generator in ``rngs``, (len(rngs), k, dim).
+
+    The restarts step in lockstep: each step takes every restart's
+    distances to its latest pick in one product and one (R, N) minimum,
+    sum and cumulative sum. Each generator is drawn from exactly as a
+    lone seeding would draw from it, so its picks do not depend on the
+    others.
+    """
     n = points.shape[0]
     norms = np.einsum("ij,ij->i", points, points)
-    centroids = np.empty((k, points.shape[1]))
-    idx = rng.integers(n)
-    centroids[0] = points[idx]
-    dist_sq = _sq_distances(points, norms, idx)
+    centroids = np.empty((len(rngs), k, points.shape[1]))
+    picks = np.array([rng.integers(n) for rng in rngs], dtype=np.intp)
+    centroids[:, 0] = points[picks]
+    dist_sq = _sq_distances(points, norms, picks)
     for c in range(1, k):
-        total = dist_sq.sum()
-        if total > 0.0:
-            idx = _draw(dist_sq / total, rng)
-        else:
-            idx = rng.integers(n)  # all remaining points coincide with a centroid
-        centroids[c] = points[idx]
-        dist_sq = np.minimum(dist_sq, _sq_distances(points, norms, idx))
+        totals = dist_sq.sum(axis=1)
+        live = totals > 0.0
+        p = dist_sq[live]
+        p /= totals[live, None]
+        picks[live] = _draws(p, [rngs[r] for r in np.flatnonzero(live)])
+        for r in np.flatnonzero(~live):
+            picks[r] = rngs[r].integers(n)  # all remaining points coincide with a centroid
+        centroids[:, c] = points[picks]
+        np.minimum(dist_sq, _sq_distances(points, norms, picks), out=dist_sq)
     return centroids
+
+
+def _plusplus_seed(points: np.ndarray, k: int, rng) -> np.ndarray:
+    """k-means++ seeds from one generator, (k, dim)."""
+    return _plusplus_seeds(points, k, [rng])[0]
 
 
 def _lloyd(points, centroids):
@@ -189,12 +222,15 @@ def kmeans_pp(
     mean = points.mean(axis=0)
     centered = points - mean
     best = None
-    for r in range(restarts):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
-        centroids = _plusplus_seed(centered, k, rng)
-        labels, centroids, inertia, n_iter = _lloyd(centered, centroids.copy())
-        if best is None or inertia < best[0]:
-            best = (inertia, labels, centroids, n_iter)
+    for first in range(0, restarts, LOCKSTEP):
+        rngs = [
+            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+            for r in range(first, min(first + LOCKSTEP, restarts))
+        ]
+        for centroids in _plusplus_seeds(centered, k, rngs):
+            labels, centroids, inertia, n_iter = _lloyd(centered, centroids)
+            if best is None or inertia < best[0]:
+                best = (inertia, labels, centroids, n_iter)
 
     inertia, labels, centroids, n_iter = best
     return KMeansResult(

@@ -14,6 +14,11 @@ plus i.i.d. measurement noise:
 The secondary is a chain by default (meters in series along one conductor)
 or a star (each meter on its own segment). All randomness comes from a
 single seed, so a spec reproduces its dataset bit for bit.
+
+Profiles and placements are built for all meters at once with array
+operations. The draws keep meter order and each row keeps the operation
+order of a meter-by-meter build, so the bytes are those of the loops kept
+in ``tests/reference_feeder_sim.py``.
 """
 from __future__ import annotations
 
@@ -191,19 +196,38 @@ def _rng(spec: FeederSpec, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(stream,)))
 
 
-def _build_profile(spec: FeederSpec, rng, amp: float, phase: float) -> np.ndarray:
-    t = np.arange(spec.T)
-    day = 2.0 * np.pi * t / spec.samples_per_day
-    p = spec.base_load_pu + amp * 0.5 * (1.0 + np.sin(day + phase))
-    if spec.load_noise_pu > 0:
-        p = p + rng.normal(0.0, spec.load_noise_pu, size=spec.T)
-    return np.maximum(p, -spec.der_injection_pu)
+def _draw_profiles(spec: FeederSpec, rng, n: int, amp_pu: float) -> np.ndarray:
+    """``n`` load profiles, (n, T): base + daily sinusoid + noise, clamped.
+
+    Each meter's amplitude, phase and (with load noise) noise row are drawn
+    in turn, so the random stream is the one a meter-by-meter build draws.
+    The sinusoids are then built in place in the output, in the same order
+    of operations a single row takes, so each row has the same bits. Only
+    load noise needs a second (n, T) array, to hold its rows until then.
+    """
+    amp, phase = np.empty(n), np.empty(n)
+    noise = np.empty((n, spec.T)) if spec.load_noise_pu > 0 else None
+    for i in range(n):
+        amp[i] = amp_pu * rng.uniform(0.5, 1.5)
+        phase[i] = rng.uniform(0.0, 2.0 * np.pi)
+        if noise is not None:
+            noise[i] = rng.normal(0.0, spec.load_noise_pu, size=spec.T)
+    day = 2.0 * np.pi * np.arange(spec.T) / spec.samples_per_day
+    loads = np.add(day, phase[:, None], out=np.empty((n, spec.T)))
+    np.sin(loads, out=loads)
+    loads += 1.0
+    loads *= (amp * 0.5)[:, None]
+    loads += spec.base_load_pu
+    if noise is not None:
+        loads += noise
+    return np.maximum(loads, -spec.der_injection_pu, out=loads)
 
 
 def generate_profiles(spec: FeederSpec) -> LoadProfileSet:
     """Draw one load profile per meter: base + daily sinusoid + noise.
 
-    Amplitude and phase are drawn per meter. If two meters on different
+    Amplitude and phase are drawn per meter, and all profiles are built
+    in one array pass (``_draw_profiles``). If two meters on different
     transformers end up with exactly identical profiles, the second one is
     redrawn (with an amplitude floor so degenerate specs still separate),
     up to MAX_REDRAWS times.
@@ -211,11 +235,7 @@ def generate_profiles(spec: FeederSpec) -> LoadProfileSet:
     rng = _rng(spec, 0)
     labels = spec.labels()
     n = spec.n_meters
-    loads = np.empty((n, spec.T))
-    for i in range(n):
-        amp = spec.load_amp_pu * rng.uniform(0.5, 1.5)
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        loads[i] = _build_profile(spec, rng, amp, phase)
+    loads = _draw_profiles(spec, rng, n, spec.load_amp_pu)
 
     # profile bytes (+ 0.0 folds -0.0 into 0.0) -> transformer of the first
     # meter that drew it; every later meter with that profile shares it
@@ -229,9 +249,7 @@ def generate_profiles(spec: FeederSpec) -> LoadProfileSet:
                     f"{MAX_REDRAWS} redraws; do the loads all clamp at -der_injection_pu?"
                 )
             redraws += 1
-            amp = max(spec.load_amp_pu, 1e-6) * rng.uniform(0.5, 1.5)
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            loads[i] = _build_profile(spec, rng, amp, phase)
+            loads[i] = _draw_profiles(spec, rng, 1, max(spec.load_amp_pu, 1e-6))[0]
 
     return LoadProfileSet(loads=loads, labels=labels, floor=spec.der_injection_pu)
 
@@ -255,16 +273,14 @@ def _grid_locations(spec: FeederSpec, rng) -> tuple[np.ndarray, np.ndarray]:
     if spec.meter_locations is not None:
         meter_loc = spec.meter_locations.copy()
     else:
+        # (r, theta) per meter, drawn in meter order as one (N, 2) array
+        u = rng.uniform([0.0, 0.0], [1.0, 2.0 * np.pi], size=(spec.n_meters, 2))
+        r = spec.meter_radius_km * np.sqrt(u[:, 0])
+        theta = u[:, 1]
+        lat_x, lon_x = xfmr_loc[spec.labels()].T
         meter_loc = np.empty((spec.n_meters, 2))
-        labels = spec.labels()
-        for i in range(spec.n_meters):
-            lat_x, lon_x = xfmr_loc[labels[i]]
-            r = spec.meter_radius_km * math.sqrt(rng.uniform())
-            theta = rng.uniform(0.0, 2.0 * np.pi)
-            meter_loc[i, 0] = lat_x + (r * math.cos(theta)) / EARTH_RADIUS_KM
-            meter_loc[i, 1] = lon_x + (r * math.sin(theta)) / (
-                EARTH_RADIUS_KM * math.cos(lat_x)
-            )
+        meter_loc[:, 0] = lat_x + (r * np.cos(theta)) / EARTH_RADIUS_KM
+        meter_loc[:, 1] = lon_x + (r * np.sin(theta)) / (EARTH_RADIUS_KM * np.cos(lat_x))
     return xfmr_loc, meter_loc
 
 

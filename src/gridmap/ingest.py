@@ -361,13 +361,24 @@ def open_output(path, directory=False):
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as a field of csv.writer's default dialect: quoted, with
+    its quotes doubled, only if it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def save_dataset(ds: MeterDataset, voltages_path, locations_path=None) -> None:
-    """Write a dataset back to CSV in the format load_dataset reads."""
+    """Write a dataset back to CSV in the format load_dataset reads.
+
+    The file holds the bytes ``csv.writer`` would write, each sample as its
+    ``repr``; a meter's row is joined as one string.
+    """
     with open_output(voltages_path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["meter_id", *ds.timestamps])
-        for i, m in enumerate(ds.meter_ids):
-            writer.writerow([m, *map(repr, ds.voltages[i].tolist())])
+        csv.writer(fh).writerow(["meter_id", *ds.timestamps])
+        for m, row in zip(ds.meter_ids, ds.voltages):
+            fh.write(f"{_csv_field(m)},{','.join(map(repr, row.tolist()))}\r\n")
     if locations_path is not None:
         if ds.locations is None:
             raise InputError("dataset has no locations to save")

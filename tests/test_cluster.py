@@ -1,18 +1,22 @@
 import itertools
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
 
 import reference_kmeans
 import scenarios
+from gridmap import cluster
 from gridmap.cluster import (
+    LOCKSTEP,
     KMeansResult,
     MappingResult,
     _draw,
     _lloyd,
     _plusplus_seed,
+    _plusplus_seeds,
     assign_transformers,
     evaluate,
     kmeans_pp,
@@ -217,6 +221,97 @@ def test_seeding_matches_the_reference_bit_for_bit():
         want = reference_kmeans._plusplus_seed(pts, k, theirs)
         assert got.tobytes() == want.tobytes()
         assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def _substream(seed, r):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+
+
+def test_lockstep_seeding_matches_lone_runs():
+    # restart r's picks and final generator state are those of a lone
+    # seeding from the same generator, and of the loop-based reference
+    for i in range(40):
+        rng = np.random.default_rng([13, i])
+        n, d = int(rng.integers(2, 60)), int(rng.integers(1, 5))
+        pts = _points(KINDS[i % len(KINDS)], rng, n, d, SCALES[i % len(SCALES)])
+        k, restarts = int(rng.integers(1, n + 1)), int(rng.integers(1, 2 * LOCKSTEP))
+        lockstep = [_substream(i, r) for r in range(restarts)]
+        got = _plusplus_seeds(pts, k, lockstep)
+        assert got.shape == (restarts, k, d)
+        for r in range(restarts):
+            lone, loop = _substream(i, r), _substream(i, r)
+            assert got[r].tobytes() == _plusplus_seed(pts, k, lone).tobytes()
+            assert got[r].tobytes() == reference_kmeans._plusplus_seed(pts, k, loop).tobytes()
+            assert lockstep[r].bit_generator.state == lone.bit_generator.state
+            assert lockstep[r].bit_generator.state == loop.bit_generator.state
+
+
+def test_a_restarts_result_does_not_depend_on_the_restart_count(monkeypatch):
+    # each Lloyd run's starting centroids and result, in call order
+    runs = []
+
+    def recorded(points, centroids):
+        start = centroids.tobytes()
+        labels, centroids, inertia, n_iter = _lloyd(points, centroids)
+        runs.append((start, labels.tobytes(), centroids.tobytes(), inertia, n_iter))
+        return labels, centroids, inertia, n_iter
+
+    monkeypatch.setattr(cluster, "_lloyd", recorded)
+    rng = np.random.default_rng(14)
+    pts = np.vstack([rng.normal(c, 0.9, (12, 2)) for c in ([0, 0], [4, 0], [0, 4], [5, 5])])
+    counts = (1, 3, LOCKSTEP, LOCKSTEP + 1, 2 * LOCKSTEP + 5)
+    by_count = {}
+    for restarts in counts:
+        runs.clear()
+        kmeans_pp(pts, 4, seed=3, restarts=restarts)
+        by_count[restarts] = list(runs)
+        assert len(runs) == restarts
+    longest = by_count[counts[-1]]
+    for restarts in counts:
+        assert by_count[restarts] == longest[:restarts]
+    assert len({start for start, *_ in longest}) > 1
+
+
+def test_restarts_take_the_coincident_branch_independently():
+    # 0 and a lie closer than the square root of the smallest subnormal, as
+    # do a and b, but 0 and b do not: a restart that picks a first finds
+    # every squared distance 0 and picks uniformly; the others draw
+    a, b = 1.5e-162, 3e-162
+    assert (a - 0.0) ** 2 == (b - a) ** 2 == 0.0 < (b - 0.0) ** 2
+    pts = np.array([[0.0], [a], [b]])
+    restarts = 2 * LOCKSTEP + 3
+    firsts = [_substream(5, r).integers(3) for r in range(restarts)]
+    assert 0 < firsts.count(1) < restarts
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _plusplus_seeds(pts, 2, [_substream(5, r) for r in range(restarts)])
+        result = kmeans_pp(pts, 2, seed=5, restarts=restarts)
+    for r in range(restarts):
+        want = reference_kmeans._plusplus_seed(pts, 2, _substream(5, r))
+        assert got[r].tobytes() == want.tobytes()
+    assert _outcome(lambda: result) == _outcome(
+        lambda: reference_kmeans.kmeans_pp(pts, 2, seed=5, restarts=restarts)
+    )
+
+
+def test_the_lowest_failing_restart_raises():
+    # on "tight" input 63, Lloyd raises "inertia increased" in most
+    # restarts (ROADMAP item 7); at seed 9 restart 0 converges and restarts
+    # 1 and 2 raise different messages. Restarts run in index order, so
+    # restart 1's is raised, as in the loop-based reference
+    pts, k, _ = _case("tight", 63)
+    centered = pts - pts.mean(axis=0)
+    messages = []
+    for r in range(3):
+        seeds = _plusplus_seed(centered, k, _substream(9, r))
+        messages.append(_outcome(lambda: _lloyd(centered, seeds)))
+    assert not isinstance(messages[0], str)
+    assert all("inertia increased" in m for m in messages[1:])
+    assert messages[1] != messages[2]
+    restarts = LOCKSTEP + 4
+    got = _outcome(lambda: kmeans_pp(pts, k, seed=9, restarts=restarts))
+    assert got == messages[1]
+    assert got == _outcome(lambda: reference_kmeans.kmeans_pp(pts, k, seed=9, restarts=restarts))
 
 
 def test_draw_is_generator_choice():

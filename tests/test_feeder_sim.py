@@ -5,10 +5,14 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
 
+import reference_feeder_sim
+from gridmap import feeder_sim
 from gridmap.errors import InputError, NumericalError
 from gridmap.feeder_sim import (
     FeederSpec,
     LoadProfileSet,
+    _grid_locations,
+    _rng,
     generate_profiles,
     simulate_voltages,
 )
@@ -229,3 +233,52 @@ def test_meters_sit_near_their_transformer():
         assert d_own <= 0.05 + 1e-6
         d_other = haversine(data.locations[i], xfmrs.locations[1 - lab])
         assert d_other > 1.0
+
+
+def _placed_spec(**overrides):
+    # explicit coordinates (radians) for 2 transformers and their 7 meters
+    rng = np.random.default_rng(3)
+    xfmrs = np.radians([[40.0, -105.0], [40.01, -105.02]])
+    meters = np.radians([40.0, -105.0]) + 1e-4 * rng.standard_normal((7, 2))
+    return small_spec(xfmr_locations=xfmrs, meter_locations=meters, **overrides)
+
+
+REFERENCE_SPECS = {
+    "chain": lambda: small_spec(),
+    "star": lambda: small_spec(secondary="star"),
+    "load noise": lambda: small_spec(load_noise_pu=0.004),
+    "injection clamp": lambda: small_spec(load_noise_pu=0.05, der_injection_pu=0.005),
+    "redraws": lambda: small_spec(load_amp_pu=0.0, noise_std_pu=0.0),
+    "explicit locations": _placed_spec,
+    "zero radius": lambda: small_spec(meter_radius_km=0.0),
+    "many meters": lambda: small_spec(
+        k=6, meters_per_xfmr=[40, 1, 25, 33, 2, 60], xfmr_impedance_pu=0.003, T=301,
+        samples_per_day=37, secondary="star", seed=11, origin_lat_deg=-61.5,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_SPECS)
+def test_simulator_matches_the_per_meter_reference_byte_for_byte(name, monkeypatch):
+    spec = REFERENCE_SPECS[name]()
+    draws, build = [], feeder_sim._draw_profiles
+
+    def counted(spec, rng, n, amp_pu):
+        draws.append(n)
+        return build(spec, rng, n, amp_pu)
+
+    monkeypatch.setattr(feeder_sim, "_draw_profiles", counted)
+    got, want = generate_profiles(spec), reference_feeder_sim.generate_profiles(spec)
+    assert got.loads.tobytes() == want.loads.tobytes()
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert got.floor == want.floor
+    for ours, theirs in zip(
+        _grid_locations(spec, _rng(spec, 2)),
+        reference_feeder_sim._grid_locations(spec, _rng(spec, 2)),
+    ):
+        assert ours.tobytes() == theirs.tobytes()
+    # one draw of all N profiles, then one call per redrawn profile
+    assert draws[0] == spec.n_meters
+    assert draws[1:] == ([1] * (len(draws) - 1)) and (len(draws) > 1) == (name == "redraws")
+    if name == "injection clamp":
+        assert (got.loads == -0.005).any()

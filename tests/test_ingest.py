@@ -261,6 +261,21 @@ def test_saved_panels_take_the_loadtxt_parse(tmp_path, monkeypatch):
     assert load_dataset(str(blanked)).n_imputed == 5
 
 
+def test_saved_panel_bytes_are_csv_writers(tmp_path):
+    ds = _random_dataset(7, n=9, t=5, with_locations=False)
+    ds.voltages[0, 0], ds.voltages[1, 1] = -0.0, 1e-310  # signed zero, subnormal
+    ds.meter_ids = ["a,b", 'say "hi"', "two\nlines", " lead", "tab\tin", "cr\rid",
+                    '"', "", "plain"]
+    ds.timestamps[2] = "2018-01-01, 00:30"
+    save_dataset(ds, tmp_path / "v.csv")
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["meter_id", *ds.timestamps])
+        for i, m in enumerate(ds.meter_ids):
+            writer.writerow([m, *map(repr, ds.voltages[i].tolist())])
+    assert (tmp_path / "v.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 def test_locations_must_cover_all_meters(tmp_path):
     vp = _write(tmp_path / "v.csv", "meter_id,t0,t1\na,1.0,1.0\nb,1.0,1.0\n")
     lp = _write(tmp_path / "l.csv", "meter_id,lat_deg,lon_deg\na,40.0,-105.0\n")

@@ -7,6 +7,10 @@ or six N x N temporaries. ``recover`` on the spectral method holds the
 graph, its Laplacian and the eigensolver's copy of it (about 3.15 N^2
 doubles at N = 400). The bounds leave a small margin over those figures,
 so a change that brings an N x N temporary back fails here.
+
+k-means++ seeds its restarts LOCKSTEP at a time, holding a few
+(LOCKSTEP, N) arrays, so its peak stays within 64 rows of N doubles of a
+10-restart run's, however many restarts run.
 """
 import tracemalloc
 
@@ -14,6 +18,7 @@ import numpy as np
 import pytest
 
 from gridmap.cli import recover
+from gridmap.cluster import LOCKSTEP, kmeans_pp
 from gridmap.feeder_sim import FeederSpec, generate_profiles, simulate_voltages
 from gridmap.graph import location_similarity, voltage_similarity
 
@@ -61,3 +66,15 @@ def test_spectral_recover_peak(feeder):
     data, xfmrs, k = feeder
     n = data.n_meters
     assert traced_peak(lambda: recover(data, xfmrs, k, seed=0)) <= RECOVER_BOUND * n * n * 8
+
+
+def test_kmeans_peak_does_not_grow_with_restarts():
+    rng = np.random.default_rng(0)
+    n = 200
+    pts = np.vstack([rng.normal(c, 0.3, (n // 4, 4)) for c in 5.0 * np.eye(4)])
+    ten = traced_peak(lambda: kmeans_pp(pts, 4, seed=0, restarts=10))
+    thousand = traced_peak(lambda: kmeans_pp(pts, 4, seed=0, restarts=1000))
+    # a lockstep group holds about seven (LOCKSTEP, N) arrays: 45 more rows
+    # of N doubles at 16 restarts than at 10, and none more at 1000
+    assert LOCKSTEP <= 16
+    assert thousand <= ten + 64 * n * 8
