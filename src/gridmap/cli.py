@@ -9,10 +9,10 @@ Subcommands:
 * ``sweep-noise``         repeat simulate+cluster over a noise grid -> sweep.csv
 
 Options resolve as: command-line flag, then config file (flat JSON keyed by
-option name), then the GRIDMAP_SEED environment variable for the seed, then
-built-in defaults. Exit codes: 0 success, 2 bad input, 3 numerical failure.
-Outputs embed the seed, method, and package version, and rerunning a
-command with identical inputs reproduces its output files byte for byte.
+option name), then built-in defaults; no environment variable is read.
+Exit codes: 0 success, 2 bad input, 3 numerical failure. Outputs embed
+the seed, method, and package version, and rerunning a command with
+identical inputs reproduces its output files byte for byte.
 """
 from __future__ import annotations
 
@@ -31,7 +31,6 @@ from . import __version__
 from .cluster import MappingResult, assign_transformers, attach_transformers, evaluate, kmeans_pp
 from .errors import InputError, NumericalError
 from .feeder_sim import FeederSpec, generate_profiles, simulate_voltages
-from .geo import GEO_METRICS
 from .graph import AUTO, laplacian, location_similarity, voltage_similarity
 from .guarantee import certify
 from .ingest import (
@@ -50,9 +49,8 @@ DEFAULTS = {
     "method": "spectral",
     "sigma": "auto",
     "sigma_l": "auto",
-    "geo_metric": "haversine",
     "tol": TOL,
-    "restarts": 10,
+    "seed": 0,
     "out": ".",
 }
 
@@ -101,13 +99,13 @@ def _config_value(action: argparse.Action, value):
 
 
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
-    """Apply option precedence: flags > config file > env seed > defaults."""
+    """Apply option precedence: flags > config file > defaults."""
     config = {}
     if getattr(args, "config", None):
         try:
             with open(args.config) as fh:
                 config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError covers undecodable bytes
             raise InputError(f"cannot parse config {args.config}: {exc}") from exc
         if not isinstance(config, dict):
             raise InputError(f"config {args.config} must be a JSON object")
@@ -122,12 +120,6 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     for key, value in DEFAULTS.items():
         if getattr(args, key, "sentinel") is None:
             setattr(args, key, value)
-    if getattr(args, "seed", "sentinel") is None:
-        env = os.environ.get("GRIDMAP_SEED")
-        try:
-            args.seed = int(env) if env is not None else 0
-        except ValueError:
-            raise InputError(f"GRIDMAP_SEED must be an integer, got {env!r}")
     if getattr(args, "seed", 0) < 0:
         raise InputError(f"seed must be non-negative, got {args.seed}")
     return args
@@ -176,31 +168,29 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def recover(
-    data, xfmrs, k, method="spectral", sigma=AUTO, seed=0, restarts=10,
-    sigma_l=AUTO, geo_metric="haversine", tol=TOL,
-):
+def recover(data, xfmrs, k, method="spectral", sigma=AUTO, seed=0, sigma_l=AUTO, tol=TOL):
     """Recover the meter-to-transformer mapping of one dataset.
 
     ``spectral`` clusters the bottom-k Laplacian eigenvectors of the voltage
     similarity graph, ``multiview`` co-regularizes them with the location
     graph's until the joint objective changes by less than ``tol``
     (relative), and ``kmeans-baseline`` clusters the raw voltage rows.
-    Every method ends in k-means++ and the geographic match of clusters to
+    Location distances are haversine. Every method ends in k-means++ (its
+    default 10 restarts) and the geographic match of clusters to
     transformers. Returns the mapping, the embedding and the voltage graph;
     the baseline builds neither (None).
     """
     g_v = emb = None
     if method == "kmeans-baseline":
-        km = kmeans_pp(data.voltages, k, seed=seed, restarts=restarts)
+        km = kmeans_pp(data.voltages, k, seed=seed)
     elif method == "spectral":
         g_v = voltage_similarity(data, sigma=sigma)
         emb = embed(laplacian(g_v), k)
-        km = kmeans_pp(emb.X, k, seed=seed, restarts=restarts)
+        km = kmeans_pp(emb.X, k, seed=seed)
     elif method == "multiview":
         g_v = voltage_similarity(data, sigma=sigma)
-        g_l = location_similarity(data, sigma=sigma_l, metric=geo_metric)
-        emb, km, _ = solve_multiview(g_v, g_l, k, seed=seed, restarts=restarts, tol=tol)
+        g_l = location_similarity(data, sigma=sigma_l)
+        emb, km, _ = solve_multiview(g_v, g_l, k, seed=seed, tol=tol)
     else:
         raise InputError(f"unknown method {method!r}")
     return assign_transformers(km, data, xfmrs), emb, g_v
@@ -216,7 +206,7 @@ def cmd_cluster(args) -> int:
 
     mapping, emb, g_v = recover(
         data, xfmrs, args.k, method=args.method, sigma=args.sigma, seed=args.seed,
-        restarts=args.restarts, sigma_l=args.sigma_l, geo_metric=args.geo_metric, tol=args.tol,
+        sigma_l=args.sigma_l, tol=args.tol,
     )
 
     open_output(args.out, directory=True)
@@ -306,7 +296,7 @@ def _load_mapping(path):
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise InputError(f"cannot parse mapping {path}: {exc}") from exc
     try:
         meters = doc["meters"]
@@ -350,9 +340,7 @@ def cmd_sweep(args) -> int:
         for level, noise in enumerate(grid):
             spec = dataclasses.replace(base, noise_std_pu=noise, seed=base.seed + trial)
             data, xfmrs, truth = simulate_voltages(spec, profiles)
-            mapping, _, _ = recover(
-                data, xfmrs, spec.k, sigma=args.sigma, seed=spec.seed, restarts=args.restarts
-            )
+            mapping, _, _ = recover(data, xfmrs, spec.k, sigma=args.sigma, seed=spec.seed)
             report = evaluate(mapping, truth)
             accs[level].append(report.accuracy)
             exact[level] += report.exact_recovery
@@ -402,10 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="voltage kernel width ('auto' = median distance)")
     p.add_argument("--sigma-l", type=_sigma_arg, default=None,
                    help="location kernel width ('auto' = median distance)")
-    p.add_argument("--geo-metric", choices=GEO_METRICS, default=None)
     p.add_argument("--tol", type=float, default=None,
                    help="multiview convergence tolerance (relative objective change)")
-    p.add_argument("--restarts", type=int, default=None)
     p.add_argument("--dump-similarity", metavar="CSV", default=None)
     p.add_argument("--dump-embedding", metavar="CSV", default=None)
     p.add_argument("--seed", type=int, default=None, help="k-means++ seed")
@@ -436,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated noise levels (pu)")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--sigma", type=_sigma_arg, default=None)
-    p.add_argument("--restarts", type=int, default=None)
     p.add_argument("--seed", type=int, default=None,
                    help="unused: each trial's seed comes from the spec")
     common(p)

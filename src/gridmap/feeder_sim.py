@@ -178,7 +178,7 @@ class FeederSpec:
         try:
             with open(path) as fh:
                 d = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError covers undecodable bytes
             raise InputError(f"cannot parse feeder spec {path}: {exc}") from exc
         return cls.from_json_dict(d)
 

@@ -138,10 +138,15 @@ def laplacian(graph) -> np.ndarray:
     m = np.asarray(graph.matrix if isinstance(graph, SimilarityGraph) else graph, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError("similarity matrix must be square")
-    if not np.isfinite(m).all():
+    lo, hi = m.min(), m.max()  # NaN if any entry is NaN
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise InputError("similarity entries must be finite")
     if max_asymmetry(m) > SYMMETRY_TOL:
         raise InputError("similarity matrix is not symmetric")
-    if np.min(m) < -SYMMETRY_TOL or np.max(m) > 1.0 + SYMMETRY_TOL:
+    if lo < -SYMMETRY_TOL or hi > 1.0 + SYMMETRY_TOL:
         raise InputError("similarity entries must lie in [0, 1]")
-    return np.diag(m.sum(axis=1)) - m
+    # 0 - m, not -m, so zero weights give +0.0 as diag(d) - m does; the
+    # diagonal -m_ii + d_i equals d_i - m_ii exactly
+    lap = np.subtract(0.0, m)
+    lap.flat[::m.shape[0] + 1] += m.sum(axis=1)
+    return lap

@@ -78,7 +78,6 @@ def solve_multiview(
     g_l: SimilarityGraph,
     k: int,
     seed: int,
-    restarts: int = 10,
     tol: float = TOL,
 ) -> tuple[SpectralEmbedding, KMeansResult, MultiViewState]:
     """Alternating minimization of the co-regularized objective, weight
@@ -90,7 +89,7 @@ def solve_multiview(
     or MAX_OUTER_ITERS is hit (then a warning is issued). Each half-step
     minimizes the objective exactly, so the last iterate is also the best
     one. Returns the voltage-view embedding, the k-means++ result on its
-    rows, and the iteration record.
+    rows (``kmeans_pp``'s default restarts), and the iteration record.
     """
     if not 0 < tol < np.inf:
         raise InputError("tol must be finite and positive")
@@ -127,4 +126,4 @@ def solve_multiview(
             "returning the last iterate"
         )
     state.H_v, state.H_l = emb_v.X, emb_l.X
-    return emb_v, kmeans_pp(emb_v.X, k, seed=seed, restarts=restarts), state
+    return emb_v, kmeans_pp(emb_v.X, k, seed=seed), state

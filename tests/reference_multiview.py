@@ -24,7 +24,7 @@ from gridmap.multiview import (
 from gridmap.spectral import embed
 
 
-def solve_multiview(g_v, g_l, k, seed, restarts=10, tol=TOL):
+def solve_multiview(g_v, g_l, k, seed, tol=TOL):
     """Alternating minimization, voltage view first, until the objective
     of one outer iteration changes by at most ``tol`` (relative) or
     ``gridmap.multiview.MAX_OUTER_ITERS`` is hit."""
@@ -58,4 +58,4 @@ def solve_multiview(g_v, g_l, k, seed, restarts=10, tol=TOL):
             "returning the last iterate"
         )
     state.H_v, state.H_l = emb_v.X, emb_l.X
-    return emb_v, kmeans_pp(emb_v.X, k, seed=seed, restarts=restarts), state
+    return emb_v, kmeans_pp(emb_v.X, k, seed=seed), state

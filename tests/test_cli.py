@@ -236,10 +236,20 @@ def test_unknown_method_is_an_argparse_error(tmp_path):
     assert err.value.code == 2
 
 
-@pytest.mark.parametrize("flag", [["--lambda", "0.5"], ["--max-iters", "30"],
-                                  ["--final-view", "voltage"]], ids=lambda f: f[0])
-def test_removed_multiview_flags_exit_2(tmp_path, flag):
-    argv = cluster_args(tmp_path, k=2, method="multiview", out=tmp_path / "o") + flag
+@pytest.mark.parametrize("command, flag", [
+    pytest.param("cluster", ["--lambda", "0.5"], id="--lambda"),
+    pytest.param("cluster", ["--max-iters", "30"], id="--max-iters"),
+    pytest.param("cluster", ["--final-view", "voltage"], id="--final-view"),
+    pytest.param("cluster", ["--restarts", "5"], id="--restarts"),
+    pytest.param("cluster", ["--geo-metric", "haversine"], id="--geo-metric"),
+    pytest.param("sweep-noise", ["--restarts", "5"], id="sweep-noise--restarts"),
+])
+def test_removed_multiview_flags_exit_2(tmp_path, command, flag):
+    if command == "cluster":
+        argv = cluster_args(tmp_path, k=2, method="multiview", out=tmp_path / "o") + flag
+    else:
+        argv = ["sweep-noise", "--spec", write_spec(tmp_path / "spec.json", two_cluster_spec()),
+                "--noise-grid", "0.0", "--trials", "1", "--out", str(tmp_path / "o")] + flag
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
@@ -251,15 +261,14 @@ def test_removed_multiview_flags_exit_2(tmp_path, flag):
 OPTIONS = {
     "simulate": ["config", "out", "spec"],
     "cluster": [
-        "config", "dump_embedding", "dump_similarity", "geo_metric", "k", "locations",
-        "method", "out", "restarts", "seed", "sigma", "sigma_l", "tol", "transformers",
-        "voltages",
+        "config", "dump_embedding", "dump_similarity", "k", "locations", "method", "out",
+        "seed", "sigma", "sigma_l", "tol", "transformers", "voltages",
     ],
     "validate-assumption": [
         "config", "ground_truth", "k", "out", "seed", "sigma", "transformers", "voltages",
     ],
     "evaluate": ["config", "ground_truth", "mapping", "out", "transformers"],
-    "sweep-noise": ["config", "noise_grid", "out", "restarts", "seed", "sigma", "spec", "trials"],
+    "sweep-noise": ["config", "noise_grid", "out", "seed", "sigma", "spec", "trials"],
 }
 
 
@@ -315,6 +324,26 @@ def test_bad_config_exits_2(tmp_path, text):
     assert main(cluster_args(out, k=2, config=cfg)) == 2
 
 
+@pytest.mark.parametrize("route", ["config", "simulate-spec", "sweep-spec", "mapping"])
+def test_undecodable_json_input_exits_2(tmp_path, capsys, route):
+    src = simulate(tmp_path, two_cluster_spec(0.0, seed=0))
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"k": "\xff"}')
+    out = str(tmp_path / "o")
+    argv = {
+        "config": cluster_args(src, k=2, config=bad),
+        "simulate-spec": ["simulate", "--spec", str(bad)],
+        "sweep-spec": ["sweep-noise", "--spec", str(bad), "--noise-grid", "0.0", "--trials", "1"],
+        "mapping": evaluate_args(src, bad),
+    }[route] + ["--out", out]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "gridmap: error: cannot parse" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize(
     "config",
     [
@@ -338,22 +367,20 @@ def test_bad_config_values_exit_2(tmp_path, capsys, config):
     assert not (tmp_path / "o" / "mapping.json").exists()
 
 
-def test_seed_comes_from_the_environment(tmp_path, monkeypatch):
+def test_seed_ignores_the_environment(tmp_path, monkeypatch):
     out = simulate(tmp_path, two_cluster_spec(0.0, seed=2))
-    monkeypatch.setenv("GRIDMAP_SEED", "7")
-    assert main(cluster_args(out, k=2, out=tmp_path / "env")) == 0
-    assert read_json(tmp_path / "env" / "mapping.json")["seed"] == 7
+    for env in ("7", "not-a-number"):  # GRIDMAP_SEED is no longer read
+        monkeypatch.setenv("GRIDMAP_SEED", env)
+        assert main(cluster_args(out, k=2, out=tmp_path / env)) == 0
+        assert read_json(tmp_path / env / "mapping.json")["seed"] == 0
 
-    # an explicit flag still wins
+    # the flag sets it
     assert main(cluster_args(out, k=2, seed=3, out=tmp_path / "flag")) == 0
     assert read_json(tmp_path / "flag" / "mapping.json")["seed"] == 3
 
-    monkeypatch.setenv("GRIDMAP_SEED", "not-a-number")
-    assert main(cluster_args(out, k=2, out=tmp_path / "bad")) == 2
 
-
-@pytest.mark.parametrize("route", ["flag", "config", "environment", "simulate", "sweep-noise"])
-def test_negative_seed_exits_2(tmp_path, monkeypatch, capsys, route):
+@pytest.mark.parametrize("route", ["flag", "config", "simulate", "sweep-noise"])
+def test_negative_seed_exits_2(tmp_path, capsys, route):
     doc = two_cluster_spec(0.0, seed=0).to_json_dict()
     doc["seed"] = -1
     spec = tmp_path / "spec.json"
@@ -368,12 +395,10 @@ def test_negative_seed_exits_2(tmp_path, monkeypatch, capsys, route):
         argv = cluster_args(simulate(tmp_path, two_cluster_spec(0.0, seed=0)), k=2, out=out)
         if route == "flag":
             argv += ["--seed", "-1"]
-        elif route == "config":
+        else:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({"seed": -1}))
             argv += ["--config", str(cfg)]
-        else:
-            monkeypatch.setenv("GRIDMAP_SEED", "-1")
     assert main(argv) == 2
     assert "gridmap: error:" in capsys.readouterr().err
     assert not os.path.exists(out)

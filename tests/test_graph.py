@@ -244,3 +244,21 @@ def test_location_kernel_matches_the_dense_route(name, data, sigma, metric):
     assert g.sigma == pytest.approx(width, rel=1e-15)
     assert np.max(np.abs(g.matrix - want)) <= 1e-15
     assert g.matrix.tobytes() == g.matrix.T.tobytes()
+
+
+def scenario_graphs():
+    for name, data in SCENARIO_DATASETS:
+        yield f"{name}-voltage", voltage_similarity(data).matrix
+        if data.locations is not None:
+            yield f"{name}-location", location_similarity(data).matrix
+    yield "ideal", ideal_graph(scenarios.make_truth([4, 5, 6])).matrix
+    # exact zeros, one of them negative: every zero of L must come out +0.0
+    yield "exact-zeros", np.array([[1.0, 0.0, 0.25], [0.0, 1.0, -0.0], [0.25, -0.0, 0.0]])
+
+
+@pytest.mark.parametrize("m", [pytest.param(m, id=name) for name, m in scenario_graphs()])
+def test_laplacian_is_the_diagonal_formula_bit_for_bit(m):
+    want = np.diag(m.sum(axis=1)) - m
+    lap = laplacian(m)
+    assert lap.tobytes() == want.tobytes()
+    assert np.array_equal(np.signbit(lap), np.signbit(want))
