@@ -32,7 +32,6 @@ from .graph import (
     ideal_graph,
     laplacian,
     location_similarity,
-    median_pairwise,
     voltage_similarity,
 )
 from .guarantee import (
@@ -56,7 +55,6 @@ from .multiview import (
     MultiViewState,
     combined_laplacian,
     disagreement,
-    joint_objective,
     solve_multiview,
 )
 from .spectral import (

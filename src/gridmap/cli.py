@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -41,6 +42,7 @@ from .ingest import (
     save_dataset,
     save_ground_truth,
     save_transformers,
+    write_table,
 )
 from .multiview import TOL, solve_multiview
 from .spectral import embed
@@ -131,22 +133,8 @@ def _write_json(path, doc) -> None:
         fh.write("\n")
 
 
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, tuple):
-        return list(value)
-    return value
-
-
-def _write_matrix_csv(path, ids, header_prefix, matrix) -> None:
-    with open_output(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow([header_prefix, *(f"c{j}" for j in range(matrix.shape[1]))])
-        for name, row in zip(ids, matrix):
-            writer.writerow([name, *(repr(float(v)) for v in row)])
+def _write_matrix(path, ids, matrix) -> None:
+    write_table(path, ["meter_id", *(f"c{j}" for j in range(matrix.shape[1]))], ids, matrix)
 
 
 def cmd_simulate(args) -> int:
@@ -203,6 +191,8 @@ def cmd_cluster(args) -> int:
         raise InputError("--k is required (flag or config file)")
     if args.k < 1:
         raise InputError("k must be positive")
+    if not 0 < args.tol < math.inf:
+        raise InputError("tol must be finite and positive")
 
     mapping, emb, g_v = recover(
         data, xfmrs, args.k, method=args.method, sigma=args.sigma, seed=args.seed,
@@ -213,11 +203,11 @@ def cmd_cluster(args) -> int:
     if args.dump_similarity:
         if g_v is None:  # the raw-voltage baseline builds no graph
             g_v = voltage_similarity(data, sigma=args.sigma)
-        _write_matrix_csv(args.dump_similarity, data.meter_ids, "meter_id", g_v.matrix)
+        _write_matrix(args.dump_similarity, data.meter_ids, g_v.matrix)
     if args.dump_embedding:
         if emb is None:
             raise InputError("the raw-voltage baseline has no embedding to dump")
-        _write_matrix_csv(args.dump_embedding, data.meter_ids, "meter_id", emb.X)
+        _write_matrix(args.dump_embedding, data.meter_ids, emb.X)
 
     doc = {
         "meters": {
@@ -247,16 +237,18 @@ def cmd_validate(args) -> int:
     report = certify(g_v, truth, k)
 
     open_output(args.out, directory=True)
-    doc = {f.name: _jsonable(getattr(report, f.name)) for f in dataclasses.fields(report)}
-    doc["seed"] = args.seed
-    doc["version"] = __version__
+    # the eigenvalue arrays are the only fields json cannot write as they are
+    doc = vars(report) | {
+        "ideal_eigenvalues": report.ideal_eigenvalues.tolist(),
+        "real_eigenvalues": report.real_eigenvalues.tolist(),
+        "seed": args.seed,
+        "version": __version__,
+    }
     _write_json(os.path.join(args.out, "guarantee.json"), doc)
 
-    with open_output(os.path.join(args.out, "eigs.csv")) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "ideal", "real"])
-        for i, (wi, wr) in enumerate(zip(report.ideal_eigenvalues, report.real_eigenvalues)):
-            writer.writerow([i, repr(float(wi)), repr(float(wr))])
+    spectra = np.column_stack([report.ideal_eigenvalues, report.real_eigenvalues])
+    write_table(os.path.join(args.out, "eigs.csv"), ["index", "ideal", "real"],
+                map(str, range(len(spectra))), spectra)
 
     verdict = "holds" if report.assumption_holds else "FAILS"
     print(f"assumption {verdict}: delta = {report.delta:.6g} (k = {k})")
@@ -358,7 +350,10 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each parse_args call returns a
+    fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="gridmap",
         description="Recover meter-to-transformer mapping from voltage time series.",

@@ -83,11 +83,6 @@ def _draws(p: np.ndarray, rngs) -> np.ndarray:
     )
 
 
-def _draw(p: np.ndarray, rng) -> int:
-    """``rng.choice(p.size, p=p)``: ``_draws`` for one row."""
-    return int(_draws(p[None, :], [rng])[0])
-
-
 def _sq_distances(points: np.ndarray, norms: np.ndarray, picks: np.ndarray) -> np.ndarray:
     """Squared distances from each picked row to every row of ``points``,
     one row of the (len(picks), N) result per pick.
@@ -135,11 +130,6 @@ def _plusplus_seeds(points: np.ndarray, k: int, rngs) -> np.ndarray:
         centroids[:, c] = points[picks]
         np.minimum(dist_sq, _sq_distances(points, norms, picks), out=dist_sq)
     return centroids
-
-
-def _plusplus_seed(points: np.ndarray, k: int, rng) -> np.ndarray:
-    """k-means++ seeds from one generator, (k, dim)."""
-    return _plusplus_seeds(points, k, [rng])[0]
 
 
 def _lloyd(points, centroids):

@@ -1,14 +1,13 @@
 """Geodesic distances between (latitude, longitude) pairs given in radians.
 
-Two metrics are provided: the haversine great-circle distance and a faster
-small-region approximation that treats latitude/longitude differences as a
-plane angle. Both return kilometers on a sphere of radius 6371 km.
+Every distance the package measures is the haversine great-circle distance.
+A faster small-region approximation that treats latitude/longitude
+differences as a plane angle is kept for comparison with it. Both return
+kilometers on a sphere of radius 6371 km.
 """
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import InputError
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -51,12 +50,8 @@ def euclidean_angle(p, q):
     return float(d) if d.ndim == 0 else d
 
 
-GEO_METRICS = {"haversine": haversine, "euclidean-angle": euclidean_angle}
-
-
-def pairwise_geo(points, metric="haversine"):
-    """All-pairs distance matrix (km) for an (n, 2) array of radian coords."""
+def pairwise_geo(points):
+    """All-pairs haversine distance matrix (km) for an (n, 2) array of
+    radian coords."""
     points = np.asarray(points, dtype=float)
-    if not isinstance(metric, str) or metric not in GEO_METRICS:  # a list would not hash
-        raise InputError(f"unknown geo metric: {metric!r}")
-    return GEO_METRICS[metric](points[:, None, :], points[None, :, :])
+    return haversine(points[:, None, :], points[None, :, :])

@@ -6,7 +6,7 @@ meters i and j is a Gaussian kernel on a distance,
     m_ij = exp(-d(i, j)^2 / sigma^2),    m_ii = 1,
 
 where d is the Euclidean distance between voltage time series (voltage
-graph) or a geodesic distance between coordinates (location graph). The
+graph) or the haversine distance between coordinates (location graph). The
 unnormalized Laplacian is L = D - M with D the diagonal degree matrix
 d_ii = sum_j m_ij. Kernel underflow for far-apart nodes simply clamps the
 weight to 0.0, which is the intended behavior rather than an error; so
@@ -14,7 +14,7 @@ does overflow of d / sigma for a subnormal width, as exp(-inf) = 0.
 
 The kernel works on the N(N-1)/2 condensed distances of the pairs i < j,
 in the row-major order of ``scipy.spatial.distance.pdist``: for voltages
-that is what ``pdist`` returns, and for locations the geodesic metric is
+that is what ``pdist`` returns, and for locations the haversine distance is
 evaluated on those pairs only. The width, the division, square, negation
 and exponential all act on that one vector in place, and a single
 ``squareform`` writes the symmetric N x N matrix. So building a graph
@@ -29,7 +29,7 @@ from scipy.spatial.distance import pdist, squareform
 
 from .errors import InputError
 # pairwise_geo stays imported: perfbench/tracing.py wraps it on this module
-from .geo import GEO_METRICS, pairwise_geo  # noqa: F401
+from .geo import haversine, pairwise_geo  # noqa: F401
 from .ingest import GroundTruth, MeterDataset
 from .spectral import max_asymmetry
 
@@ -45,22 +45,14 @@ class SimilarityGraph:
     kind: str               # "voltage" | "location" | "ideal"
 
 
-def median_pairwise(distances: np.ndarray) -> float:
-    """Median off-diagonal distance, the default kernel width.
+def _median_width(pairs: np.ndarray) -> float:
+    """Median of the condensed i < j distances, the default kernel width.
 
     Falls back to the mean positive distance when the median vanishes
     (more than half the pairs coincide), and to 1.0 if every pair does;
     at zero distance the kernel is 1 regardless of sigma, so any positive
-    width is equivalent there. Raises InputError unless ``distances`` is a
-    square matrix.
+    width is equivalent there.
     """
-    if distances.ndim != 2 or distances.shape[0] != distances.shape[1]:
-        raise InputError(f"expected a square distance matrix, got shape {distances.shape}")
-    return _median_width(distances[np.triu_indices(distances.shape[0], k=1)])
-
-
-def _median_width(pairs: np.ndarray) -> float:
-    """``median_pairwise`` of the condensed i < j distances."""
     med = float(np.median(pairs))
     if med > 0.0:
         return med
@@ -96,28 +88,23 @@ def voltage_similarity(data: MeterDataset, sigma=AUTO) -> SimilarityGraph:
     return g
 
 
-def _pair_geo(points: np.ndarray, metric: str) -> np.ndarray:
-    """Condensed i < j geodesic distances (km), one row of pairs per call."""
-    if not isinstance(metric, str) or metric not in GEO_METRICS:  # a list would not hash
-        raise InputError(f"unknown geo metric: {metric!r}")
-    distance = GEO_METRICS[metric]
+def _pair_geo(points: np.ndarray) -> np.ndarray:
+    """Condensed i < j haversine distances (km), one row of pairs per call."""
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     pairs = np.empty(n * (n - 1) // 2)
     start = 0
     for i in range(n - 1):
-        pairs[start:start + n - 1 - i] = distance(points[i], points[i + 1:])
+        pairs[start:start + n - 1 - i] = haversine(points[i], points[i + 1:])
         start += n - 1 - i
     return pairs
 
 
-def location_similarity(
-    data: MeterDataset, sigma=AUTO, metric: str = "haversine"
-) -> SimilarityGraph:
-    """Gaussian kernel on geodesic distances (km) between meter coordinates."""
+def location_similarity(data: MeterDataset, sigma=AUTO) -> SimilarityGraph:
+    """Gaussian kernel on haversine distances (km) between meter coordinates."""
     if data.locations is None:
         raise InputError("dataset has no meter locations")
-    g = _kernel(_pair_geo(data.locations, metric), sigma)
+    g = _kernel(_pair_geo(data.locations), sigma)
     g.kind = "location"
     return g
 

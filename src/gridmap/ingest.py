@@ -28,6 +28,9 @@ ids and empty cells included, does not. Either way the panel costs about one
 N x T float64 array in memory. Unreadable files, undecodable bytes and
 malformed CSV raise InputError, as do bad cells; the first bad row in file
 order decides the error.
+
+``write_table`` writes every table of an id followed by floats: the panel,
+both coordinate files, and the command line's matrix dumps and eigs.csv.
 """
 from __future__ import annotations
 
@@ -369,24 +372,29 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def save_dataset(ds: MeterDataset, voltages_path, locations_path=None) -> None:
-    """Write a dataset back to CSV in the format load_dataset reads.
+def write_table(path, header, ids, matrix) -> None:
+    """Write ``header``, then each id followed by its row of ``matrix``: the
+    bytes ``csv.writer`` would write with each value as its ``repr``, a row
+    joined as one string."""
+    with open_output(path) as fh:
+        csv.writer(fh).writerow(header)
+        for name, row in zip(ids, matrix):
+            fh.write(f"{_csv_field(name)},{','.join(map(repr, row.tolist()))}\r\n")
 
-    The file holds the bytes ``csv.writer`` would write, each sample as its
-    ``repr``; a meter's row is joined as one string.
-    """
-    with open_output(voltages_path) as fh:
-        csv.writer(fh).writerow(["meter_id", *ds.timestamps])
-        for m, row in zip(ds.meter_ids, ds.voltages):
-            fh.write(f"{_csv_field(m)},{','.join(map(repr, row.tolist()))}\r\n")
+
+def save_dataset(ds: MeterDataset, voltages_path, locations_path=None) -> None:
+    """Write a dataset back to CSV in the format load_dataset reads."""
+    write_table(voltages_path, ["meter_id", *ds.timestamps], ds.meter_ids, ds.voltages)
     if locations_path is not None:
         if ds.locations is None:
             raise InputError("dataset has no locations to save")
-        _save_coords(ds.meter_ids, ds.locations, "meter_id", locations_path)
+        write_table(locations_path, ["meter_id", "lat_deg", "lon_deg"], ds.meter_ids,
+                    np.degrees(ds.locations))
 
 
 def save_transformers(xfmrs: TransformerSet, path) -> None:
-    _save_coords(xfmrs.xfmr_ids, xfmrs.locations, "xfmr_id", path)
+    write_table(path, ["xfmr_id", "lat_deg", "lon_deg"], xfmrs.xfmr_ids,
+                np.degrees(xfmrs.locations))
 
 
 def save_ground_truth(truth: GroundTruth, path) -> None:
@@ -395,13 +403,3 @@ def save_ground_truth(truth: GroundTruth, path) -> None:
         writer.writerow(["meter_id", "xfmr_id"])
         for m in truth.meter_ids:
             writer.writerow([m, truth.mapping[m]])
-
-
-def _save_coords(ids, coords, id_col, path) -> None:
-    with open_output(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow([id_col, "lat_deg", "lon_deg"])
-        for i, name in enumerate(ids):
-            writer.writerow(
-                [name, repr(math.degrees(coords[i, 0])), repr(math.degrees(coords[i, 1]))]
-            )

@@ -19,7 +19,8 @@ v-step's combined matrix sum to Tr(Hv' (Lv - lambda Hl Hl') Hv), so
 
 with Tr(Hl' Ll Hl) carried over from the last l-step, and symmetrically
 after an l-step. Both combined matrices are built in one reused N x N
-buffer. ``joint_objective`` evaluates J from the traces directly.
+buffer. ``tests/reference_multiview.py`` evaluates J from the traces
+directly and pins this solve against that.
 
 Every caller runs the same coupling weight (LAMBDA_REG) and iteration cap
 (MAX_OUTER_ITERS), so they are constants; only the convergence tolerance
@@ -63,14 +64,6 @@ def combined_laplacian(lap: np.ndarray, h_other: np.ndarray, lambda_reg: float,
     low = np.matmul(h_other, h_other.T, out=out)
     np.multiply(lambda_reg, low, out=low)
     return np.subtract(lap, low, out=low)
-
-
-def joint_objective(l_v, l_l, h_v, h_l, lambda_reg: float) -> float:
-    return (
-        float(np.trace(h_v.T @ l_v @ h_v))
-        + float(np.trace(h_l.T @ l_l @ h_l))
-        + lambda_reg * disagreement(h_v, h_l)
-    )
 
 
 def solve_multiview(

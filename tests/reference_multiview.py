@@ -19,9 +19,18 @@ from gridmap.multiview import (
     LAMBDA_REG,
     TOL,
     MultiViewState,
-    joint_objective,
+    disagreement,
 )
 from gridmap.spectral import embed
+
+
+def joint_objective(l_v, l_l, h_v, h_l, lambda_reg: float) -> float:
+    """J(Hv, Hl) = Tr(Hv' Lv Hv) + Tr(Hl' Ll Hl) - lambda ||Hv' Hl||_F^2."""
+    return (
+        float(np.trace(h_v.T @ l_v @ h_v))
+        + float(np.trace(h_l.T @ l_l @ h_l))
+        + lambda_reg * disagreement(h_v, h_l)
+    )
 
 
 def solve_multiview(g_v, g_l, k, seed, tol=TOL):

@@ -280,6 +280,17 @@ def test_option_sets_are_pinned():
     assert got == OPTIONS
 
 
+def test_the_parser_is_built_once_and_parses_afresh(tmp_path):
+    assert gridmap.cli.build_parser() is gridmap.cli.build_parser()
+    src = simulate(tmp_path, two_cluster_spec(0.0, seed=0))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 5}))
+    assert main(cluster_args(src, k=2, seed=3, out=tmp_path / "a")) == 0
+    assert main(cluster_args(src, k=2, config=cfg, out=tmp_path / "b")) == 0
+    assert read_json(tmp_path / "a" / "mapping.json")["seed"] == 3
+    assert read_json(tmp_path / "b" / "mapping.json")["seed"] == 5
+
+
 def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as err:
         main([])
@@ -756,9 +767,24 @@ def _exit_code(argv):
     ("simulate", {"xfmr_impedance_pu": [0.004, float("nan")]}),
     ("simulate", {"line_resistance_pu": float("inf")}),
     ("simulate", {"T": float("nan")}),
+    # tol is checked under every method, also where it goes unused
+    ("cluster", {"tol": "nan"}),
+    ("cluster", {"tol": "inf"}),
+    ("cluster", {"tol": "0"}),
+    ("cluster", {"tol": "-1"}),
+    ("cluster", {"method": "kmeans-baseline", "tol": "nan"}),
+    ("cluster", {"method": "kmeans-baseline", "tol": "inf"}),
+    ("cluster", {"method": "kmeans-baseline", "tol": "0"}),
+    ("cluster", {"method": "kmeans-baseline", "tol": "-1"}),
+    ("cluster", {"method": "multiview", "tol": "0"}),
+    ("cluster", {"method": "multiview", "tol": "-1"}),
+    ("cluster", {"config": {"tol": 0}}),
 ], ids=["sigma-nan", "sigma-inf", "config-sigma-nan", "sigma-l-nan", "tol-inf", "tol-nan",
         "validate-sigma-nan", "noise-grid-nan", "spec-noise-nan", "spec-impedance-nan",
-        "spec-line-inf", "spec-T-nan"])
+        "spec-line-inf", "spec-T-nan", "spectral-tol-nan", "spectral-tol-inf",
+        "spectral-tol-0", "spectral-tol-negative", "baseline-tol-nan", "baseline-tol-inf",
+        "baseline-tol-0", "baseline-tol-negative", "multiview-tol-0",
+        "multiview-tol-negative", "config-tol-0"])
 def test_non_finite_numbers_exit_2(tmp_path, route, flags):
     doc = two_cluster_spec(0.0, seed=0).to_json_dict()
     if route == "simulate":  # the bad number sits in the feeder spec

@@ -13,9 +13,8 @@ from gridmap.cluster import (
     LOCKSTEP,
     KMeansResult,
     MappingResult,
-    _draw,
+    _draws,
     _lloyd,
-    _plusplus_seed,
     _plusplus_seeds,
     assign_transformers,
     evaluate,
@@ -217,7 +216,7 @@ def test_seeding_matches_the_reference_bit_for_bit():
         pts = _points(KINDS[i % len(KINDS)], rng, n, d, SCALES[i % len(SCALES)])
         k = int(rng.integers(1, n + 1))
         ours, theirs = np.random.default_rng(i), np.random.default_rng(i)
-        got = _plusplus_seed(pts, k, ours)
+        got = _plusplus_seeds(pts, k, [ours])[0]
         want = reference_kmeans._plusplus_seed(pts, k, theirs)
         assert got.tobytes() == want.tobytes()
         assert ours.bit_generator.state == theirs.bit_generator.state
@@ -240,7 +239,7 @@ def test_lockstep_seeding_matches_lone_runs():
         assert got.shape == (restarts, k, d)
         for r in range(restarts):
             lone, loop = _substream(i, r), _substream(i, r)
-            assert got[r].tobytes() == _plusplus_seed(pts, k, lone).tobytes()
+            assert got[r].tobytes() == _plusplus_seeds(pts, k, [lone])[0].tobytes()
             assert got[r].tobytes() == reference_kmeans._plusplus_seed(pts, k, loop).tobytes()
             assert lockstep[r].bit_generator.state == lone.bit_generator.state
             assert lockstep[r].bit_generator.state == loop.bit_generator.state
@@ -303,7 +302,7 @@ def test_the_lowest_failing_restart_raises():
     centered = pts - pts.mean(axis=0)
     messages = []
     for r in range(3):
-        seeds = _plusplus_seed(centered, k, _substream(9, r))
+        seeds = _plusplus_seeds(centered, k, [_substream(9, r)])[0]
         messages.append(_outcome(lambda: _lloyd(centered, seeds)))
     assert not isinstance(messages[0], str)
     assert all("inertia increased" in m for m in messages[1:])
@@ -322,12 +321,12 @@ def test_draw_is_generator_choice():
         w[rng.integers(w.size)] = rng.random() + 0.5  # at least one positive weight
         p = w / w.sum()
         ours, theirs = np.random.default_rng(i), np.random.default_rng(i)
-        assert _draw(p, ours) == theirs.choice(p.size, p=p)
+        assert _draws(p[None, :], [ours])[0] == theirs.choice(p.size, p=p)
         assert ours.bit_generator.state == theirs.bit_generator.state
     # a draw landing exactly on a step of the cdf never takes a zero weight
     p = np.array([0.0, 0.5, 0.0, 0.5])
-    assert _draw(p, types.SimpleNamespace(random=lambda: 0.0)) == 1
-    assert _draw(p, types.SimpleNamespace(random=lambda: 0.5)) == 3
+    assert _draws(p[None, :], [types.SimpleNamespace(random=lambda: 0.0)])[0] == 1
+    assert _draws(p[None, :], [types.SimpleNamespace(random=lambda: 0.5)])[0] == 3
 
 
 def _dataset_at(locs_rad):

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from gridmap.errors import InputError
 from gridmap.geo import (
     EARTH_RADIUS_KM,
     euclidean_angle,
@@ -89,17 +88,10 @@ def test_haversine_broadcasting():
 def test_pairwise_geo_matches_direct_loop():
     rng = np.random.default_rng(11)
     pts = np.stack([rng.uniform(-1.2, 1.2, 9), rng.uniform(-3.0, 3.0, 9)], axis=1)
-    for metric, fn in (("haversine", haversine), ("euclidean-angle", euclidean_angle)):
-        d = pairwise_geo(pts, metric=metric)
-        assert d.shape == (9, 9)
-        assert np.allclose(d, d.T)
-        assert np.all(np.diag(d) == 0.0)
-        for i in range(9):
-            for j in range(9):
-                assert d[i, j] == pytest.approx(fn(pts[i], pts[j]), abs=1e-12)
-
-
-def test_pairwise_geo_rejects_unknown_metric():
-    pts = np.zeros((3, 2))
-    with pytest.raises(InputError, match="unknown geo metric"):
-        pairwise_geo(pts, metric="manhattan")
+    d = pairwise_geo(pts)
+    assert d.shape == (9, 9)
+    assert np.allclose(d, d.T)
+    assert np.all(np.diag(d) == 0.0)
+    for i in range(9):
+        for j in range(9):
+            assert d[i, j] == pytest.approx(haversine(pts[i], pts[j]), abs=1e-12)

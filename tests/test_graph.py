@@ -8,14 +8,14 @@ from scipy.spatial.distance import pdist, squareform
 import scenarios
 from gridmap.errors import InputError
 from gridmap.feeder_sim import generate_profiles, simulate_voltages
-from gridmap.geo import pairwise_geo
+from gridmap.geo import haversine
 from gridmap.graph import (
     AUTO,
     SimilarityGraph,
+    _median_width,
     ideal_graph,
     laplacian,
     location_similarity,
-    median_pairwise,
     voltage_similarity,
 )
 from gridmap.ingest import MeterDataset
@@ -86,20 +86,13 @@ def test_block_diagonal_similarity_gives_one_zero_eigenvalue_per_block():
 
 
 def test_median_pairwise_branches():
-    d = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]])
-    assert median_pairwise(d) == 2.0
+    # the default width is the median of the condensed pair distances
+    assert _median_width(np.array([1.0, 3.0, 2.0])) == 2.0
     # median zero (many coincident points): fall back to the mean of
     # the positive distances
-    d2 = np.zeros((4, 4))
-    d2[0, 1] = d2[1, 0] = 6.0
-    assert median_pairwise(d2) == 6.0
+    assert _median_width(np.array([6.0, 0.0, 0.0, 0.0, 0.0, 0.0])) == 6.0
     # no information at all: unit width
-    assert median_pairwise(np.zeros((3, 3))) == 1.0
-    # an (N, T) voltage matrix is not a distance matrix, whether T < N or T >= N
-    rng = np.random.default_rng(0)
-    for shape in ((5, 3), (5, 8)):
-        with pytest.raises(InputError, match="square"):
-            median_pairwise(rng.random(shape))
+    assert _median_width(np.zeros(3)) == 1.0
 
 
 def test_auto_sigma_is_median_distance():
@@ -107,7 +100,7 @@ def test_auto_sigma_is_median_distance():
     volts = 1.0 + 0.01 * rng.standard_normal((8, 30))
     data = _dataset(volts)
     g = voltage_similarity(data, sigma=AUTO)
-    expected = median_pairwise(squareform(pdist(volts)))
+    expected = float(np.median(pdist(volts)))
     assert g.sigma == expected
     assert g.kind == "voltage"
 
@@ -210,8 +203,9 @@ SCENARIO_DATASETS = list(scenario_datasets())
 @pytest.mark.parametrize("sigma", [AUTO, scenarios.MANY_XFMR_SIGMA, 1e-3, 0.05])
 @pytest.mark.parametrize("name, data", SCENARIO_DATASETS)
 def test_voltage_kernel_is_the_dense_formula_bit_for_bit(name, data, sigma):
-    d = squareform(pdist(data.voltages))
-    width = median_pairwise(d) if sigma == AUTO else sigma
+    pairs = pdist(data.voltages)
+    d = squareform(pairs)
+    width = _median_width(pairs) if sigma == AUTO else sigma
     with np.errstate(under="ignore"):
         want = np.exp(-((d / width) ** 2))
     np.fill_diagonal(want, 1.0)
@@ -220,27 +214,28 @@ def test_voltage_kernel_is_the_dense_formula_bit_for_bit(name, data, sigma):
     assert g.matrix.tobytes() == want.tobytes()
 
 
-def dense_location_kernel(locations, sigma, metric):
+def dense_location_kernel(locations, sigma, distance):
     """The kernel from the full distance matrix, averaged with its transpose."""
-    d = pairwise_geo(locations, metric=metric)
+    d = distance(locations[:, None, :], locations[None, :, :])
     d = 0.5 * (d + d.T)
     np.fill_diagonal(d, 0.0)
-    width = median_pairwise(d) if sigma == AUTO else sigma
+    width = _median_width(d[np.triu_indices(len(d), k=1)]) if sigma == AUTO else sigma
     with np.errstate(under="ignore"):
         m = np.exp(-((d / width) ** 2))
     np.fill_diagonal(m, 1.0)
     return m, width
 
 
-@pytest.mark.parametrize("metric", ["haversine", "euclidean-angle"])
+# the location graph always measures haversine distances
+@pytest.mark.parametrize("distance", [haversine], ids=["haversine"])
 @pytest.mark.parametrize("sigma", [AUTO, 0.3, 1000.0])
 @pytest.mark.parametrize("name, data", SCENARIO_DATASETS + [
     ("antipodal", _dataset(np.ones((4, 2)), np.array(
         [[0.0, 0.0], [0.0, math.pi], [0.3, -2.0], [-0.3, 2.0 - math.pi]]))),
 ])
-def test_location_kernel_matches_the_dense_route(name, data, sigma, metric):
-    want, width = dense_location_kernel(data.locations, sigma, metric)
-    g = location_similarity(data, sigma=sigma, metric=metric)
+def test_location_kernel_matches_the_dense_route(name, data, sigma, distance):
+    want, width = dense_location_kernel(data.locations, sigma, distance)
+    g = location_similarity(data, sigma=sigma)
     assert g.sigma == pytest.approx(width, rel=1e-15)
     assert np.max(np.abs(g.matrix - want)) <= 1e-15
     assert g.matrix.tobytes() == g.matrix.T.tobytes()

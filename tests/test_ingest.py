@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import re
 import warnings
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 
 from gridmap import ingest
+from gridmap.cli import main
 from gridmap.errors import InputError
+from gridmap.graph import laplacian, voltage_similarity
 from gridmap.ingest import (
     MAX_MISSING_FRACTION,
     GroundTruth,
@@ -20,6 +23,7 @@ from gridmap.ingest import (
     save_ground_truth,
     save_transformers,
 )
+from gridmap.spectral import embed
 
 
 def _write(path, text):
@@ -261,19 +265,79 @@ def test_saved_panels_take_the_loadtxt_parse(tmp_path, monkeypatch):
     assert load_dataset(str(blanked)).n_imputed == 5
 
 
-def test_saved_panel_bytes_are_csv_writers(tmp_path):
-    ds = _random_dataset(7, n=9, t=5, with_locations=False)
-    ds.voltages[0, 0], ds.voltages[1, 1] = -0.0, 1e-310  # signed zero, subnormal
-    ds.meter_ids = ["a,b", 'say "hi"', "two\nlines", " lead", "tab\tin", "cr\rid",
-                    '"', "", "plain"]
-    ds.timestamps[2] = "2018-01-01, 00:30"
-    save_dataset(ds, tmp_path / "v.csv")
-    with open(tmp_path / "want.csv", "w", newline="") as fh:
+# ids that csv.writer must quote or leave alone, one of each kind
+AWKWARD_IDS = ["a,b", 'say "hi"', "two\nlines", " lead", "tab\tin", "cr\rid", '"', "", "plain"]
+
+
+def _writer_bytes(path, header, rows):
+    """The bytes csv.writer writes for ``header`` and then ``rows``."""
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["meter_id", *ds.timestamps])
-        for i, m in enumerate(ds.meter_ids):
-            writer.writerow([m, *map(repr, ds.voltages[i].tolist())])
-    assert (tmp_path / "v.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+def _coord_rows(ids, coords):
+    """Coordinate rows as they were written before the shared table writer."""
+    return [[name, repr(math.degrees(coords[i, 0])), repr(math.degrees(coords[i, 1]))]
+            for i, name in enumerate(ids)]
+
+
+def test_saved_panel_bytes_are_csv_writers(tmp_path):
+    ds = _random_dataset(7, n=9, t=5)
+    ds.voltages[0, 0], ds.voltages[1, 1] = -0.0, 1e-310  # signed zero, subnormal
+    ds.locations[2, 0], ds.locations[3, 1] = -0.0, 5e-324
+    ds.meter_ids = list(AWKWARD_IDS)
+    ds.timestamps[2] = "2018-01-01, 00:30"
+    save_dataset(ds, tmp_path / "v.csv", tmp_path / "l.csv")
+    want = _writer_bytes(tmp_path / "want.csv", ["meter_id", *ds.timestamps],
+                         [[m, *map(repr, ds.voltages[i].tolist())]
+                          for i, m in enumerate(ds.meter_ids)])
+    assert (tmp_path / "v.csv").read_bytes() == want
+    want = _writer_bytes(tmp_path / "want.csv", ["meter_id", "lat_deg", "lon_deg"],
+                         _coord_rows(ds.meter_ids, ds.locations))
+    assert (tmp_path / "l.csv").read_bytes() == want
+
+    xf = TransformerSet(xfmr_ids=AWKWARD_IDS[::-1], locations=ds.locations[::-1].copy())
+    save_transformers(xf, tmp_path / "x.csv")
+    want = _writer_bytes(tmp_path / "want.csv", ["xfmr_id", "lat_deg", "lon_deg"],
+                         _coord_rows(xf.xfmr_ids, xf.locations))
+    assert (tmp_path / "x.csv").read_bytes() == want
+
+
+def test_command_line_tables_are_csv_writers(tmp_path):
+    # --dump-similarity, --dump-embedding and eigs.csv, against the
+    # csv.writer rows the command line wrote them with before
+    ds = _random_dataset(8, n=9, t=6, with_locations=False)
+    ds.meter_ids = list(AWKWARD_IDS)
+    truth = GroundTruth(mapping={m: f"x{i % 2}" for i, m in enumerate(ds.meter_ids)},
+                        meter_ids=ds.meter_ids, xfmr_ids=["x0", "x1"],
+                        labels=np.arange(9) % 2)
+    v, x, gt = tmp_path / "v.csv", tmp_path / "x.csv", tmp_path / "gt.csv"
+    save_dataset(ds, v)
+    save_transformers(TransformerSet(["x0", "x1"], np.zeros((2, 2))), x)
+    save_ground_truth(truth, gt)
+    assert main(["cluster", "--voltages", str(v), "--k", "2", "--out", str(tmp_path / "c"),
+                 "--dump-similarity", str(tmp_path / "s.csv"),
+                 "--dump-embedding", str(tmp_path / "e.csv")]) == 0
+    assert main(["validate-assumption", "--voltages", str(v), "--transformers", str(x),
+                 "--ground-truth", str(gt), "--out", str(tmp_path / "g")]) == 0
+
+    data = load_dataset(v)
+    g = voltage_similarity(data)
+    for name, matrix in (("s.csv", g.matrix), ("e.csv", embed(laplacian(g), 2).X)):
+        want = _writer_bytes(
+            tmp_path / "want.csv", ["meter_id", *(f"c{j}" for j in range(matrix.shape[1]))],
+            [[m, *(repr(float(v)) for v in row)] for m, row in zip(data.meter_ids, matrix)])
+        assert (tmp_path / name).read_bytes() == want
+
+    with open(tmp_path / "g" / "guarantee.json") as fh:
+        doc = json.load(fh)  # json writes each float as its repr, so these are exact
+    want = _writer_bytes(tmp_path / "want.csv", ["index", "ideal", "real"], [
+        [i, repr(float(wi)), repr(float(wr))]
+        for i, (wi, wr) in enumerate(zip(doc["ideal_eigenvalues"], doc["real_eigenvalues"]))])
+    assert (tmp_path / "g" / "eigs.csv").read_bytes() == want
 
 
 def test_locations_must_cover_all_meters(tmp_path):

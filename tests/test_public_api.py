@@ -10,8 +10,8 @@ PUBLIC = [
     "TransformerSet", "assign_transformers", "attach_transformers", "canonical_angles",
     "certify", "combined_laplacian", "disagreement", "eigendecompose", "embed",
     "euclidean_angle", "evaluate", "fix_signs", "generate_profiles", "haversine", "ideal_graph",
-    "joint_objective", "kmeans_pp", "laplacian", "load_dataset", "load_ground_truth",
-    "load_transformers", "location_similarity", "median_pairwise", "pairwise_geo", "recover",
+    "kmeans_pp", "laplacian", "load_dataset", "load_ground_truth",
+    "load_transformers", "location_similarity", "pairwise_geo", "recover",
     "save_dataset", "save_ground_truth", "save_transformers", "simulate_voltages",
     "solve_multiview", "voltage_similarity",
 ]
