@@ -329,7 +329,7 @@ def test_command_line_tables_are_csv_writers(tmp_path):
     for name, matrix in (("s.csv", g.matrix), ("e.csv", embed(laplacian(g), 2).X)):
         want = _writer_bytes(
             tmp_path / "want.csv", ["meter_id", *(f"c{j}" for j in range(matrix.shape[1]))],
-            [[m, *(repr(float(v)) for v in row)] for m, row in zip(data.meter_ids, matrix)])
+            [[m, *(repr(float(x)) for x in row)] for m, row in zip(data.meter_ids, matrix)])
         assert (tmp_path / name).read_bytes() == want
 
     with open(tmp_path / "g" / "guarantee.json") as fh:
