@@ -127,6 +127,14 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
+def _make_out_dir(path) -> None:
+    """Make the output directory ``path``; one that cannot be made is bad input."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_json(path, doc) -> None:
     with open_output(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -140,7 +148,7 @@ def _write_matrix(path, ids, matrix) -> None:
 def cmd_simulate(args) -> int:
     spec = FeederSpec.from_json_file(args.spec)
     data, xfmrs, truth = simulate_voltages(spec, generate_profiles(spec))
-    open_output(args.out, directory=True)
+    _make_out_dir(args.out)
     save_dataset(
         data,
         os.path.join(args.out, "voltages.csv"),
@@ -199,7 +207,7 @@ def cmd_cluster(args) -> int:
         sigma_l=args.sigma_l, tol=args.tol,
     )
 
-    open_output(args.out, directory=True)
+    _make_out_dir(args.out)
     if args.dump_similarity:
         if g_v is None:  # the raw-voltage baseline builds no graph
             g_v = voltage_similarity(data, sigma=args.sigma)
@@ -236,7 +244,7 @@ def cmd_validate(args) -> int:
     g_v = voltage_similarity(data, sigma=args.sigma)
     report = certify(g_v, truth, k)
 
-    open_output(args.out, directory=True)
+    _make_out_dir(args.out)
     # the eigenvalue arrays are the only fields json cannot write as they are
     doc = vars(report) | {
         "ideal_eigenvalues": report.ideal_eigenvalues.tolist(),
@@ -261,7 +269,7 @@ def cmd_evaluate(args) -> int:
     truth = load_ground_truth(args.ground_truth, mapping.meter_ids, xfmrs)
     report = evaluate(mapping, truth)
 
-    open_output(args.out, directory=True)
+    _make_out_dir(args.out)
     doc = {
         "accuracy": report.accuracy,
         "exact_recovery": report.exact_recovery,
@@ -339,7 +347,7 @@ def cmd_sweep(args) -> int:
     rows = [(noise, exact[level] / args.trials, float(np.mean(accs[level])))
             for level, noise in enumerate(grid)]
 
-    open_output(args.out, directory=True)
+    _make_out_dir(args.out)
     path = os.path.join(args.out, "sweep.csv")
     with open_output(path) as fh:
         writer = csv.writer(fh)

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -489,6 +490,38 @@ def test_dump_similarity_and_embedding(tmp_path):
     emb_lines = emb_csv.read_text().splitlines()
     assert emb_lines[0] == "meter_id,c0,c1"
     assert len(emb_lines) == 11
+
+
+DUMP_FLAGS = ["dump_similarity", "dump_embedding"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+@pytest.mark.parametrize("flag", DUMP_FLAGS)
+def test_dump_to_a_fifo(tmp_path, flag):
+    # a pipe cannot be truncated, so its writer must not try
+    src = simulate(tmp_path, two_cluster_spec(0.0, seed=6))
+    assert main(cluster_args(src, k=2, out=tmp_path / "a", **{flag: tmp_path / "file.csv"})) == 0
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+
+    def read():
+        with open(fifo, "rb") as fh:
+            got.append(fh.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    assert main(cluster_args(src, k=2, out=tmp_path / "b", **{flag: fifo})) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert got == [(tmp_path / "file.csv").read_bytes()]
+
+
+@pytest.mark.parametrize("flag", DUMP_FLAGS)
+def test_dump_to_the_null_device(tmp_path, flag):
+    src = simulate(tmp_path, two_cluster_spec(0.0, seed=6))
+    assert main(cluster_args(src, k=2, out=tmp_path / "o", **{flag: os.devnull})) == 0
+    assert read_json(tmp_path / "o" / "mapping.json")["k"] == 2
 
 
 def test_baseline_dumps_the_graph_it_does_not_cluster(tmp_path):

@@ -1,14 +1,18 @@
 import csv
+import gc
 import json
 import math
+import os
 import re
+import stat
 import warnings
 
 import numpy as np
 import pytest
 
+import gridmap.cli
 from gridmap import ingest
-from gridmap.cli import main
+from gridmap.cli import _write_json, main
 from gridmap.errors import InputError
 from gridmap.graph import laplacian, voltage_similarity
 from gridmap.ingest import (
@@ -24,6 +28,8 @@ from gridmap.ingest import (
     save_transformers,
 )
 from gridmap.spectral import embed
+
+from scenarios import two_cluster_spec
 
 
 def _write(path, text):
@@ -450,3 +456,150 @@ def test_transformer_round_trip(tmp_path):
     back = load_transformers(str(path))
     assert back.xfmr_ids == xf.xfmr_ids
     assert np.allclose(back.locations, xf.locations, rtol=0.0, atol=1e-12)
+
+
+# --- outputs are rewritten in place ------------------------------------------
+# Each writer below writes ``rows`` rows to ``path``; given ``fail_at``, it
+# raises _Boom inside its open_output block, after writing part of them.
+
+class _Boom(Exception):
+    pass
+
+
+class _BoomDict(dict):
+    """A dict whose missing keys and item list raise _Boom."""
+
+    def __missing__(self, key):
+        raise _Boom
+
+    def items(self):
+        raise _Boom
+
+
+class _BoomWriter:
+    """A csv.writer that raises _Boom in place of row ``fail_at``."""
+
+    def __init__(self, fh, fail_at, writer=csv.writer):
+        self.out, self.fail_at, self.n = writer(fh), fail_at, 0
+
+    def writerow(self, row):
+        if self.n == self.fail_at:
+            raise _Boom
+        self.n += 1
+        self.out.writerow(row)
+
+
+def _table(path, rows, fail_at=None):
+    def ids():
+        for i in range(rows):
+            if i == fail_at:
+                raise _Boom
+            yield f"m{i}"
+
+    ingest.write_table(path, ["meter_id", "c0"], ids(), np.arange(rows)[:, None] / 3.0)
+
+
+def _json(path, rows, fail_at=None):
+    doc = {"a": list(range(rows))}
+    if fail_at is not None:
+        doc["b"] = _BoomDict(x=1)  # json asks for its items after writing "a"
+    _write_json(path, doc)
+
+
+def _truth(path, rows, fail_at=None):
+    ids = [f"m{i}" for i in range(rows)]
+    mapping = _BoomDict({m: "x0" for m in ids[:fail_at]})
+    save_ground_truth(GroundTruth(mapping, ids, ["x0"], np.zeros(rows, dtype=int)), path)
+
+
+def _sweep(path, rows, fail_at=None):
+    spec = path.parent.parent / f"{path.parent.name}_spec.json"
+    spec.write_text(json.dumps(two_cluster_spec(0.0, seed=0).to_json_dict()))
+    argv = ["sweep-noise", "--spec", str(spec), "--trials", "1", "--out", str(path.parent),
+            "--noise-grid", ",".join(repr(i * 1e-5) for i in range(rows))]
+    with pytest.MonkeyPatch.context() as mp:
+        if fail_at is not None:
+            mp.setattr(gridmap.cli.csv, "writer", lambda fh: _BoomWriter(fh, fail_at))
+        assert main(argv) == 0
+
+
+# the name of the file each writer writes; sweep-noise always writes sweep.csv
+WRITERS = {"write_table": ("t.csv", _table), "_write_json": ("d.json", _json),
+           "save_ground_truth": ("gt.csv", _truth), "sweep.csv": ("sweep.csv", _sweep)}
+
+
+def _fresh(tmp_path, writer, rows, fail_at=None):
+    """The bytes ``writer`` leaves in a file that did not exist before."""
+    name, write = WRITERS[writer]
+    (tmp_path / "fresh").mkdir()
+    path = tmp_path / "fresh" / name
+    if fail_at is None:
+        write(path, rows)
+    else:
+        with pytest.raises(_Boom):
+            write(path, rows, fail_at)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_rewrite_is_in_place_and_leaves_no_old_tail(tmp_path, writer):
+    name, write = WRITERS[writer]
+    (tmp_path / "out").mkdir()
+    path = tmp_path / "out" / name
+    write(path, 5)
+    os.chmod(path, 0o600)
+    before = os.stat(path)
+    write(path, 2)
+    after = os.stat(path)
+    assert path.read_bytes() == _fresh(tmp_path, writer, 2)
+    assert after.st_size < before.st_size
+    assert (after.st_ino, after.st_dev) == (before.st_ino, before.st_dev)
+    assert stat.S_IMODE(after.st_mode) == 0o600
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_rewrite_writes_through_a_symlink(tmp_path, writer):
+    name, write = WRITERS[writer]
+    (tmp_path / "target").mkdir()
+    target = tmp_path / "target" / name
+    write(target, 5)
+    (tmp_path / "out").mkdir()
+    link = tmp_path / "out" / name
+    link.symlink_to(target)
+    write(link, 2)
+    assert link.is_symlink()
+    assert target.read_bytes() == _fresh(tmp_path, writer, 2)
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_a_raising_write_keeps_only_the_bytes_before_it(tmp_path, writer):
+    name, write = WRITERS[writer]
+    (tmp_path / "out").mkdir()
+    path = tmp_path / "out" / name
+    write(path, 10)
+    whole = path.read_bytes()
+    with pytest.raises(_Boom):
+        write(path, 5, fail_at=2)
+    want = _fresh(tmp_path, writer, 5, fail_at=2)
+    assert 0 < len(want) < len(whole)
+    assert path.read_bytes() == want
+
+
+def _lowest_free_descriptor():
+    fd = os.open(os.devnull, os.O_RDONLY)
+    os.close(fd)
+    return fd
+
+
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_a_failed_open_output_leaks_no_descriptor(tmp_path, where):
+    path = tmp_path / "out" if where == "directory" else tmp_path / "missing" / "out"
+    if where == "directory":
+        path.mkdir()
+    free = _lowest_free_descriptor()
+    for _ in range(3):
+        with pytest.raises(InputError, match=f"cannot write {re.escape(str(path))}: "):
+            with ingest.open_output(path):
+                pass
+    gc.collect()  # a file left unclosed would warn here, and warnings are errors
+    assert _lowest_free_descriptor() == free
