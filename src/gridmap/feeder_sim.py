@@ -18,10 +18,13 @@ single seed, so a spec reproduces its dataset bit for bit.
 Profiles and placements are built for all meters at once with array
 operations. The draws keep meter order and each row keeps the operation
 order of a meter-by-meter build, so the bytes are those of the loops kept
-in ``tests/reference_feeder_sim.py``.
+in ``tests/reference_feeder_sim.py``. The random draws run in one thread,
+in order; the profile arithmetic after them runs in contiguous parts of
+rows, one thread per CPU (``gridmap.parts``), which changes no bit.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -33,9 +36,11 @@ import numpy as np
 from .errors import InputError, NumericalError
 from .geo import EARTH_RADIUS_KM
 from .ingest import GroundTruth, MeterDataset, TransformerSet
+from .parts import in_row_parts
 
 SECONDARY_KINDS = ("chain", "star")
 MAX_REDRAWS = 100  # per meter, before a spec counts as unable to separate
+PROFILE_COST = 48  # element operations (see gridmap.parts) per profile sample, most in sin
 
 
 @dataclass
@@ -202,8 +207,9 @@ def _draw_profiles(spec: FeederSpec, rng, n: int, amp_pu: float) -> np.ndarray:
     Each meter's amplitude, phase and (with load noise) noise row are drawn
     in turn, so the random stream is the one a meter-by-meter build draws.
     The sinusoids are then built in place in the output, in the same order
-    of operations a single row takes, so each row has the same bits. Only
-    load noise needs a second (n, T) array, to hold its rows until then.
+    of operations a single row takes, so each row has the same bits; that
+    build runs in row parts (``gridmap.parts``). Only load noise needs a
+    second (n, T) array, to hold its rows until then.
     """
     amp, phase = np.empty(n), np.empty(n)
     noise = np.empty((n, spec.T)) if spec.load_noise_pu > 0 else None
@@ -213,14 +219,21 @@ def _draw_profiles(spec: FeederSpec, rng, n: int, amp_pu: float) -> np.ndarray:
         if noise is not None:
             noise[i] = rng.normal(0.0, spec.load_noise_pu, size=spec.T)
     day = 2.0 * np.pi * np.arange(spec.T) / spec.samples_per_day
-    loads = np.add(day, phase[:, None], out=np.empty((n, spec.T)))
-    np.sin(loads, out=loads)
-    loads += 1.0
-    loads *= (amp * 0.5)[:, None]
-    loads += spec.base_load_pu
-    if noise is not None:
-        loads += noise
-    return np.maximum(loads, -spec.der_injection_pu, out=loads)
+    scale = amp * 0.5
+    loads = np.empty((n, spec.T))
+
+    def build(r0, r1):
+        rows = np.add(day, phase[r0:r1, None], out=loads[r0:r1])
+        np.sin(rows, out=rows)
+        rows += 1.0
+        rows *= scale[r0:r1, None]
+        rows += spec.base_load_pu
+        if noise is not None:
+            rows += noise[r0:r1]
+        np.maximum(rows, -spec.der_injection_pu, out=rows)
+
+    in_row_parts(build, np.arange(n + 1) * (spec.T * PROFILE_COST))
+    return loads
 
 
 def generate_profiles(spec: FeederSpec) -> LoadProfileSet:
@@ -341,6 +354,12 @@ def simulate_voltages(
 
 
 def _timestamps(t: int) -> list[str]:
-    # 15-minute cadence starting at an arbitrary fixed epoch; labels only
+    return list(_timestamp_labels(t))
+
+
+@functools.lru_cache(maxsize=4)
+def _timestamp_labels(t: int) -> tuple[str, ...]:
+    # 15-minute cadence starting at an arbitrary fixed epoch; labels only.
+    # Cached: a noise sweep simulates every trial at the same T.
     start = datetime(2018, 1, 1)
-    return [(start + timedelta(minutes=15 * i)).isoformat() for i in range(t)]
+    return tuple((start + timedelta(minutes=15 * i)).isoformat() for i in range(t))

@@ -13,29 +13,43 @@ weight to 0.0, which is the intended behavior rather than an error; so
 does overflow of d / sigma for a subnormal width, as exp(-inf) = 0.
 
 The kernel works on the N(N-1)/2 condensed distances of the pairs i < j,
-in the row-major order of ``scipy.spatial.distance.pdist``: for voltages
-that is what ``pdist`` returns, and for locations the haversine distance is
-evaluated on those pairs only. The width, the division, square, negation
-and exponential all act on that one vector in place, and a single
-``squareform`` writes the symmetric N x N matrix. So building a graph
-peaks at one N x N matrix plus the condensed half, 1.5 N^2 doubles.
+in the row-major order of ``scipy.spatial.distance.pdist``. The division,
+square, negation and exponential all act on that one vector in place, and
+a single ``squareform`` writes the symmetric N x N matrix.
+
+The condensed vector is filled in contiguous parts of rows, one thread per
+CPU (``gridmap.parts``), balanced by pairs. A part computes blocks of at
+most BLOCK_ROWS rows against the rows after them (``cdist`` for voltages,
+broadcast haversine for locations) and keeps each row's j > i tail; the
+last voltage part is ``pdist`` of its rows and the rows after them. Every
+distance and kernel value has the bits one serial ``pdist``, or the
+haversine distance of one row to the rows after it, gives. A part holds
+O(N) doubles of its own, so building a graph still peaks at one N x N
+matrix plus the condensed half, 1.5 N^2 doubles. The median for the
+``auto`` width, and ``squareform``, run in one thread.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import InputError
 # pairwise_geo stays imported: perfbench/tracing.py wraps it on this module
 from .geo import haversine, pairwise_geo  # noqa: F401
 from .ingest import GroundTruth, MeterDataset
+from .parts import in_row_parts
 from .spectral import max_asymmetry
 
 AUTO = "auto"
 
 SYMMETRY_TOL = 1e-12
+
+BLOCK_ROWS = 64         # rows per block of distances at most, so a block holds O(N) doubles
+# element operations (see gridmap.parts) per pair, beside one per voltage sample
+KERNEL_COST = 6
+HAVERSINE_COST = 128
 
 
 @dataclass
@@ -60,53 +74,97 @@ def _median_width(pairs: np.ndarray) -> float:
     return float(positive.mean()) if positive.size else 1.0
 
 
-def _kernel(pairs: np.ndarray, sigma) -> SimilarityGraph:
-    """Gaussian kernel matrix from condensed i < j distances, which it
-    overwrites."""
-    if sigma == AUTO:
-        width = _median_width(pairs)
-    else:
-        width = float(sigma)
-        if not 0.0 < width < np.inf:
-            raise InputError("sigma must be positive and finite")
+def _gaussian(pairs: np.ndarray, width: float) -> None:
+    """exp(-(d / width)^2) in place. numpy's error state is per thread, so
+    each row part sets its own."""
     with np.errstate(under="ignore", over="ignore"):
         pairs /= width
         np.square(pairs, out=pairs)
         np.negative(pairs, out=pairs)
         np.exp(pairs, out=pairs)
+
+
+def _similarity(n: int, fill, pair_cost: int, sigma, kind: str) -> SimilarityGraph:
+    """Gaussian kernel graph over ``n`` nodes.
+
+    ``fill(pairs, start, r0, r1)`` writes the condensed i < j distances of
+    rows r0..r1-1 into ``pairs``, row i from ``start[i]``; a pair costs
+    ``pair_cost`` element operations. Rows are filled in parts (see
+    ``gridmap.parts``); with a fixed width each part applies the kernel to
+    its own slice as soon as it is filled, and with ``auto`` the parts
+    apply it once the median of all the distances is known.
+    """
+    if n < 2:
+        raise InputError("need at least 2 meters")
+    width = None
+    if sigma != AUTO:
+        width = float(sigma)
+        if not 0.0 < width < np.inf:
+            raise InputError("sigma must be positive and finite")
+    i = np.arange(n)
+    start = i * n - i * (i + 1) // 2    # row i's first pair; start[-1] is the count
+    pairs = np.empty(start[-1])
+
+    def fill_rows(r0, r1):
+        fill(pairs, start, r0, r1)
+        if width is not None:
+            _gaussian(pairs[start[r0]:start[r1]], width)
+
+    in_row_parts(fill_rows, start * (pair_cost if width is None else pair_cost + KERNEL_COST))
+    if width is None:
+        width = _median_width(pairs)
+        in_row_parts(lambda r0, r1: _gaussian(pairs[start[r0]:start[r1]], width),
+                     start * KERNEL_COST)
     m = squareform(pairs)
     np.fill_diagonal(m, 1.0)
-    return SimilarityGraph(matrix=m, sigma=width, kind="")
+    return SimilarityGraph(matrix=m, sigma=width, kind=kind)
+
+
+def _row_blocks(pairs, start, r0, r1, dist) -> None:
+    """Fill rows r0..r1-1 of the condensed vector from blocks of rows.
+
+    ``dist(a, b)`` returns the (b - a, n - a - 1) distances from rows
+    a..b-1 to rows a+1..n-1, and each row keeps its j > i tail. A block
+    holds at most an eighth of the range's pairs (one row if that is more),
+    so the blocks of all parts, with their temporaries, stay within the
+    size of the condensed vector. The pairs left of a block's diagonal are
+    computed and dropped, a few percent of the work.
+    """
+    n = len(start)
+    part = start[r1] - start[r0]
+    while r0 < r1:
+        r = min(r1, r0 + max(1, min(BLOCK_ROWS, part // (8 * (n - r0)))))
+        block = dist(r0, r)
+        for i in range(r0, r):
+            pairs[start[i]:start[i + 1]] = block[i - r0, i - r0:]
+        r0 = r
 
 
 def voltage_similarity(data: MeterDataset, sigma=AUTO) -> SimilarityGraph:
     """Gaussian kernel on Euclidean distances between voltage rows."""
-    if data.n_meters < 2:
-        raise InputError("need at least 2 meters")
-    g = _kernel(pdist(data.voltages), sigma)
-    g.kind = "voltage"
-    return g
+    volts = np.ascontiguousarray(data.voltages, dtype=float)
+    n = len(volts)
 
+    def fill(pairs, start, r0, r1):
+        if r1 == n - 1:
+            pdist(volts[r0:], out=pairs[start[r0]:])
+        else:
+            _row_blocks(pairs, start, r0, r1, lambda a, b: cdist(volts[a:b], volts[a + 1:]))
 
-def _pair_geo(points: np.ndarray) -> np.ndarray:
-    """Condensed i < j haversine distances (km), one row of pairs per call."""
-    points = np.asarray(points, dtype=float)
-    n = points.shape[0]
-    pairs = np.empty(n * (n - 1) // 2)
-    start = 0
-    for i in range(n - 1):
-        pairs[start:start + n - 1 - i] = haversine(points[i], points[i + 1:])
-        start += n - 1 - i
-    return pairs
+    return _similarity(n, fill, volts.shape[1], sigma, "voltage")
 
 
 def location_similarity(data: MeterDataset, sigma=AUTO) -> SimilarityGraph:
     """Gaussian kernel on haversine distances (km) between meter coordinates."""
     if data.locations is None:
         raise InputError("dataset has no meter locations")
-    g = _kernel(_pair_geo(data.locations), sigma)
-    g.kind = "location"
-    return g
+    points = np.asarray(data.locations, dtype=float)
+
+    def fill(pairs, start, r0, r1):
+        _row_blocks(pairs, start, r0, r1,
+                    lambda a, b: haversine(points[a:b, None], points[None, a + 1:]))
+
+    return _similarity(len(points), fill, HAVERSINE_COST, sigma, "location")
 
 
 def ideal_graph(truth: GroundTruth) -> SimilarityGraph:

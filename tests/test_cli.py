@@ -7,6 +7,8 @@ spawning subprocesses.
 
 import argparse
 import dataclasses
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -19,6 +21,7 @@ import pytest
 import gridmap
 import gridmap.cli
 import gridmap.multiview
+import gridmap.parts
 import gridmap.spectral
 import reference_kmeans
 from gridmap.cli import main
@@ -30,10 +33,14 @@ from scenarios import (
     TWO_SITE_SIGMA,
     many_xfmr_spec,
     shrunken_gap_spec,
+    split_rows,
     three_cluster_spec,
     two_cluster_spec,
     two_site_case,
 )
+
+TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "perfbench", "tracing.py")
 
 SIM_FILES = (
     "voltages.csv",
@@ -217,6 +224,43 @@ def test_block_solve_writes_the_outputs_of_the_dense_solve(tmp_path, monkeypatch
     assert len(labelled) == 3 and min(labelled) > 1  # cluster, then 2 trials
     monkeypatch.setattr(gridmap.spectral, "_components", one_block)
     assert run(tmp_path / "whole") == split
+
+
+def test_row_parts_change_no_output_byte_and_leave_no_thread(tmp_path, monkeypatch):
+    spec = shrunken_gap_spec()
+    spec_path = write_spec(tmp_path / "spec.json", spec)
+
+    def run(sub):
+        out = tmp_path / sub
+        assert main(["simulate", "--spec", spec_path, "--out", str(out)]) == 0
+        assert main(cluster_args(out, k=spec.k, method="multiview", seed=4, out=out)) == 0
+        assert main(["sweep-noise", "--spec", spec_path, "--noise-grid", "0,1e-4",
+                     "--trials", "2", "--out", str(out)]) == 0
+        return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+    monkeypatch.setattr(gridmap.parts, "_cpu_count", lambda: 1)
+    serial = run("serial")
+    # the benchmark's tracer wraps these names and its spans are not
+    # thread-safe, so none of them may run in a row part's worker thread
+    spec_ = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec_)
+    spec_.loader.exec_module(tracing)
+    threads = set()
+
+    def recorded(fn):
+        def call(*args, **kwargs):
+            threads.add(threading.current_thread())
+            return fn(*args, **kwargs)
+        return call
+
+    for module, attr in tracing.TARGETS:
+        mod = importlib.import_module(module)
+        monkeypatch.setattr(mod, attr, recorded(getattr(mod, attr)))
+    before = threading.active_count()
+    split_rows(monkeypatch, 3)
+    assert run("split") == serial
+    assert threading.active_count() == before
+    assert threads == {threading.main_thread()}
 
 
 def test_cluster_without_k_fails(tmp_path):

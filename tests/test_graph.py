@@ -1,12 +1,14 @@
 import math
+import threading
 import warnings
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
 import scenarios
-from gridmap.errors import InputError
+from gridmap import graph, parts
+from gridmap.errors import InputError, NumericalError
 from gridmap.feeder_sim import generate_profiles, simulate_voltages
 from gridmap.geo import haversine
 from gridmap.graph import (
@@ -67,6 +69,15 @@ def test_antipodal_kernel_matches_high_precision_value():
 def test_location_similarity_needs_locations():
     with pytest.raises(InputError):
         location_similarity(_dataset([[1.0, 1.0], [1.0, 1.0]]))
+
+
+@pytest.mark.parametrize("build", [voltage_similarity, location_similarity])
+def test_one_meter_is_an_input_error(build):
+    data = _dataset([[1.0, 1.0]], np.array([[0.7, -1.8]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="need at least 2 meters"):
+            build(data)
 
 
 def test_identity_similarity_gives_zero_laplacian():
@@ -241,6 +252,19 @@ def test_location_kernel_matches_the_dense_route(name, data, sigma, distance):
     assert g.matrix.tobytes() == g.matrix.T.tobytes()
 
 
+@pytest.mark.parametrize("block_rows", [1, 5, graph.BLOCK_ROWS])
+@pytest.mark.parametrize("name, data", SCENARIO_DATASETS)
+def test_location_kernel_is_the_row_by_row_haversine_bit_for_bit(monkeypatch, name, data,
+                                                                 block_rows):
+    monkeypatch.setattr(graph, "BLOCK_ROWS", block_rows)
+    pts = data.locations
+    rows = np.concatenate([haversine(pts[i], pts[i + 1:]) for i in range(len(pts) - 1)])
+    with np.errstate(under="ignore"):
+        want = squareform(np.exp(-np.square(rows / 0.3)))
+    np.fill_diagonal(want, 1.0)
+    assert location_similarity(data, sigma=0.3).matrix.tobytes() == want.tobytes()
+
+
 def scenario_graphs():
     for name, data in SCENARIO_DATASETS:
         yield f"{name}-voltage", voltage_similarity(data).matrix
@@ -257,3 +281,102 @@ def test_laplacian_is_the_diagonal_formula_bit_for_bit(m):
     lap = laplacian(m)
     assert lap.tobytes() == want.tobytes()
     assert np.array_equal(np.signbit(lap), np.signbit(want))
+
+
+# --- graphs built in row parts ---------------------------------------------------
+
+
+def serial_then_split(monkeypatch, build, data, sigma, workers):
+    """The graph built in one thread, then in ``workers`` row parts."""
+    monkeypatch.setattr(parts, "_cpu_count", lambda: 1)
+    serial = build(data, sigma=sigma)
+    scenarios.split_rows(monkeypatch, workers)
+    return serial, build(data, sigma=sigma)
+
+
+@pytest.mark.parametrize("workers", [2, 5])
+@pytest.mark.parametrize("sigma", [AUTO, 0.05])
+@pytest.mark.parametrize("build", [voltage_similarity, location_similarity])
+@pytest.mark.parametrize("name, data", SCENARIO_DATASETS)
+def test_row_parts_build_the_serial_graph_bit_for_bit(monkeypatch, name, data, build, sigma,
+                                                       workers):
+    serial, split = serial_then_split(monkeypatch, build, data, sigma, workers)
+    assert split.sigma == serial.sigma
+    assert split.matrix.tobytes() == serial.matrix.tobytes()
+
+
+@pytest.mark.parametrize("workers", [2, 3, 16])
+@pytest.mark.parametrize("n", [2, 3, 7, 40])
+def test_row_parts_on_few_rows_and_many_workers(monkeypatch, n, workers):
+    rng = np.random.default_rng(100 * n + workers)
+    volts = 1.0 + 0.01 * rng.standard_normal((n, 30))
+    locs = np.radians([40.0, -105.0]) + 1e-4 * rng.standard_normal((n, 2))
+    data = _dataset(volts, locs)
+    blocks = []
+
+    def counted_cdist(a, b):
+        blocks.append(len(a))
+        return cdist(a, b)
+
+    monkeypatch.setattr(graph, "cdist", counted_cdist)
+    for build in (voltage_similarity, location_similarity):
+        for sigma in (AUTO, 0.02):
+            serial, split = serial_then_split(monkeypatch, build, data, sigma, workers)
+            assert split.matrix.tobytes() == serial.matrix.tobytes()
+    # every row but the last part's went through a cdist block
+    assert (sum(blocks) > 0) == (n > 2)
+
+
+@pytest.mark.parametrize("n, t", [(3, 1), (9, 7), (70, 96), (33, 2880), (130, 301)])
+def test_cdist_rows_are_the_condensed_pdist_rows_bit_for_bit(n, t):
+    rng = np.random.default_rng(n * t)
+    volts = 1.0 + 0.01 * rng.standard_normal((n, t))
+    want = pdist(volts)
+    start = 0
+    for height in (1, 5, 64):
+        got = []
+        for b0 in range(0, n - 1, height):
+            block = cdist(volts[b0:b0 + height], volts[b0 + 1:])
+            got += [block[i, i:] for i in range(min(height, n - 1 - b0))]
+        assert np.concatenate(got).tobytes() == want.tobytes()
+    for r0 in range(n - 1):
+        assert pdist(volts[r0:]).tobytes() == want[start:].tobytes()
+        start += n - 1 - r0
+
+
+def test_subnormal_width_clamps_silently_in_row_parts(monkeypatch):
+    # numpy's error state does not carry into worker threads; each part sets its own
+    scenarios.split_rows(monkeypatch, 3)
+    locs = np.array([[0.7, -1.8], [0.7, -1.8 + 1e-5], [0.7 + 1e-5, -1.8], [0.7, -1.8 + 2e-5]])
+    data = _dataset([[1.0, 1.0], [1.01, 1.0], [1.0, 1.02], [1.03, 1.0]], locs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g_v = voltage_similarity(data, sigma=1e-320)
+        g_l = location_similarity(data, sigma=1e-320)
+    assert np.array_equal(g_v.matrix, np.eye(4))
+    assert np.array_equal(g_l.matrix, np.eye(4))
+
+
+@pytest.mark.parametrize("error", [InputError, NumericalError])
+def test_an_error_in_a_worker_part_surfaces_and_no_thread_outlives_it(monkeypatch, error):
+    scenarios.split_rows(monkeypatch, 4)
+    before = threading.active_count()
+
+    def cdist_failing_off_the_main_thread(a, b):
+        if threading.current_thread() is not threading.main_thread():
+            raise error("block failed")
+        return cdist(a, b)
+
+    monkeypatch.setattr(graph, "cdist", cdist_failing_off_the_main_thread)
+    with pytest.raises(error, match="block failed"):
+        voltage_similarity(SCENARIO_DATASETS[0][1], sigma=0.05)
+    assert threading.active_count() == before
+
+    # of two failing parts, the earlier one's error surfaces, as in one thread
+    def work(r0, r1):
+        if r0 > 0:
+            raise error(f"part from row {r0}")
+
+    with pytest.raises(error, match="part from row 3$"):
+        parts.in_row_parts(work, np.arange(13))
+    assert threading.active_count() == before

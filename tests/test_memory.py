@@ -6,7 +6,8 @@ peaks at its N x N matrix plus that half (1.5 N^2 doubles), not at three
 or six N x N temporaries. ``recover`` on the spectral method holds the
 graph, its Laplacian and the eigensolver's copy of it (about 3.15 N^2
 doubles at N = 400). The bounds leave a small margin over those figures,
-so a change that brings an N x N temporary back fails here.
+so a change that brings an N x N temporary back fails here. The graph
+bound also holds when the distances are filled in 16 row parts at once.
 
 k-means++ seeds its restarts LOCKSTEP at a time, holding a few
 (LOCKSTEP, N) arrays, so its peak stays within 64 rows of N doubles of a
@@ -17,6 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import scenarios
 from gridmap.cli import recover
 from gridmap.cluster import LOCKSTEP, kmeans_pp
 from gridmap.feeder_sim import FeederSpec, generate_profiles, simulate_voltages
@@ -59,6 +61,16 @@ def test_graph_peaks_at_one_and_a_half_matrices(feeder, build, sigma):
     data, _, _ = feeder
     n = data.n_meters
     assert n == 400
+    assert traced_peak(lambda: build(data, sigma=sigma)) <= GRAPH_BOUND * n * n * 8
+
+
+@pytest.mark.parametrize("build", [voltage_similarity, location_similarity])
+@pytest.mark.parametrize("sigma", ["auto", 0.3])
+def test_graph_peak_holds_in_row_parts(feeder, build, sigma, monkeypatch):
+    # more parts than most machines run: their temporaries together must stay small
+    scenarios.split_rows(monkeypatch, 16)
+    data, _, _ = feeder
+    n = data.n_meters
     assert traced_peak(lambda: build(data, sigma=sigma)) <= GRAPH_BOUND * n * n * 8
 
 
