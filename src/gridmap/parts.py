@@ -45,13 +45,14 @@ def in_row_parts(work, cost) -> None:
     as a serial run would raise it.
     """
     rows = len(cost) - 1
-    parts = min(_cpu_count(), rows, int(cost[-1] // PART_WORK))
-    if parts < 2:
-        work(0, rows)
-        return
+    parts = max(1, min(_cpu_count(), rows, int(cost[-1] // PART_WORK)))
     cuts = np.searchsorted(cost, cost[-1] * np.arange(1, parts) / parts)
+    # a row heavier than a part's share swallows the cuts that fall in it
     bounds = np.unique(np.concatenate(([0], cuts, [rows]))).tolist()
     ranges = list(zip(bounds[:-1], bounds[1:]))
+    if len(ranges) < 2:
+        work(0, rows)
+        return
     with ThreadPoolExecutor(len(ranges) - 1, thread_name_prefix="gridmap-part") as pool:
         futures = [pool.submit(work, r0, r1) for r0, r1 in ranges[1:]]
         work(*ranges[0])

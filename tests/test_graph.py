@@ -357,6 +357,20 @@ def test_subnormal_width_clamps_silently_in_row_parts(monkeypatch):
     assert np.array_equal(g_l.matrix, np.eye(4))
 
 
+@pytest.mark.parametrize("cost", [[0, 5, 10, 15, 20], [0, 0, 0, 10], [0, 10, 10, 10], [0, 1],
+                                  [0, 9, 10, 11, 12, 13]])
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_row_parts_cover_every_row_once(monkeypatch, cost, workers):
+    scenarios.split_rows(monkeypatch, workers)
+    seen = []
+    parts.in_row_parts(lambda r0, r1: seen.append((r0, r1)), np.array(cost))
+    seen.sort()
+    assert seen[0][0] == 0 and seen[-1][1] == len(cost) - 1
+    assert all(r0 < r1 for r0, r1 in seen)
+    assert all(a[1] == b[0] for a, b in zip(seen, seen[1:]))
+    assert len(seen) <= workers
+
+
 @pytest.mark.parametrize("error", [InputError, NumericalError])
 def test_an_error_in_a_worker_part_surfaces_and_no_thread_outlives_it(monkeypatch, error):
     scenarios.split_rows(monkeypatch, 4)
