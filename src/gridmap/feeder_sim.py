@@ -43,6 +43,21 @@ MAX_REDRAWS = 100  # per meter, before a spec counts as unable to separate
 PROFILE_COST = 48  # element operations (see gridmap.parts) per profile sample, most in sin
 
 
+def _is_a(kind, x) -> bool:
+    """``x`` is a number of ``kind``, numpy's included, and not a boolean."""
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
+def _per_xfmr(spec, name: str, kind, what: str) -> list:
+    """Field ``name`` of ``spec``: one ``kind`` for every transformer, or a list of them."""
+    value = getattr(spec, name)
+    if _is_a(kind, value):
+        return [value] * spec.k
+    if not isinstance(value, (list, tuple, np.ndarray)) or not all(_is_a(kind, x) for x in value):
+        raise InputError(f"{name} must be {what}, got {value!r}")
+    return list(value)
+
+
 @dataclass
 class FeederSpec:
     k: int
@@ -69,14 +84,16 @@ class FeederSpec:
     origin_lon_deg: float = -105.0
 
     def __post_init__(self):
-        if isinstance(self.meters_per_xfmr, numbers.Number):
-            self.meters_per_xfmr = [self.meters_per_xfmr] * self.k
-        if not all(isinstance(n, numbers.Integral) for n in self.meters_per_xfmr):
-            raise InputError(f"meters_per_xfmr must be integers, got {self.meters_per_xfmr!r}")
-        self.meters_per_xfmr = [int(n) for n in self.meters_per_xfmr]
-        if isinstance(self.xfmr_impedance_pu, (int, float)):
-            self.xfmr_impedance_pu = [float(self.xfmr_impedance_pu)] * self.k
-        self.xfmr_impedance_pu = [float(r) for r in self.xfmr_impedance_pu]
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and not _is_a(numbers.Integral, value):
+                raise InputError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and not _is_a(numbers.Real, value):
+                raise InputError(f"{f.name} must be a number, got {value!r}")
+        counts = _per_xfmr(self, "meters_per_xfmr", numbers.Integral, "integers")
+        self.meters_per_xfmr = [int(n) for n in counts]
+        impedances = _per_xfmr(self, "xfmr_impedance_pu", numbers.Real, "numbers")
+        self.xfmr_impedance_pu = [float(r) for r in impedances]
         if self.xfmr_locations is not None:
             self.xfmr_locations = np.asarray(self.xfmr_locations, dtype=float)
         if self.meter_locations is not None:
@@ -90,8 +107,6 @@ class FeederSpec:
     def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "int" and not isinstance(value, numbers.Integral):
-                raise InputError(f"{f.name} must be an integer, got {value!r}")
             if ("float" in f.type or "ndarray" in f.type) and value is not None:
                 if not np.isfinite(value).all():
                     raise InputError(f"{f.name} must be finite")

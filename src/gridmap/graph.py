@@ -17,23 +17,24 @@ in the row-major order of ``scipy.spatial.distance.pdist``. The division,
 square, negation and exponential all act on that one vector in place, and
 a single ``squareform`` writes the symmetric N x N matrix.
 
-The condensed vector is filled in contiguous parts of rows, one thread per
-CPU (``gridmap.parts``), balanced by pairs. A part computes blocks of at
-most BLOCK_ROWS rows against the rows after them (``cdist`` for voltages,
-broadcast haversine for locations) and keeps each row's j > i tail; the
-last voltage part is ``pdist`` of its rows and the rows after them. Every
-distance and kernel value has the bits one serial ``pdist``, or the
-haversine distance of one row to the rows after it, gives. A part holds
-O(N) doubles of its own, so building a graph still peaks at one N x N
-matrix plus the condensed half, 1.5 N^2 doubles. The median for the
-``auto`` width, and ``squareform``, run in one thread.
+Both graphs are built in the same three steps. The condensed vector is
+filled in contiguous parts of rows, one thread per CPU (``gridmap.parts``),
+balanced by pairs; a part computes blocks of at most BLOCK_ROWS rows
+against the rows after them (``cdist`` for voltages, broadcast haversine
+for locations) and keeps each row's j > i tail. Then the width is taken,
+the number given or the median distance for ``auto``. Then the kernel runs
+over the vector in row parts again. Every distance and kernel value has the
+bits one serial ``pdist``, or the haversine distance of one row to the rows
+after it, gives. A part holds O(N) doubles of its own, so building a graph
+still peaks at one N x N matrix plus the condensed half, 1.5 N^2 doubles.
+The median for the ``auto`` width, and ``squareform``, run in one thread.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import cdist, squareform
 
 from .errors import InputError
 # pairwise_geo stays imported: perfbench/tracing.py wraps it on this module
@@ -84,37 +85,27 @@ def _gaussian(pairs: np.ndarray, width: float) -> None:
         np.exp(pairs, out=pairs)
 
 
-def _similarity(n: int, fill, pair_cost: int, sigma, kind: str) -> SimilarityGraph:
+def _similarity(n: int, dist, pair_cost: int, sigma, kind: str) -> SimilarityGraph:
     """Gaussian kernel graph over ``n`` nodes.
 
-    ``fill(pairs, start, r0, r1)`` writes the condensed i < j distances of
-    rows r0..r1-1 into ``pairs``, row i from ``start[i]``; a pair costs
-    ``pair_cost`` element operations. Rows are filled in parts (see
-    ``gridmap.parts``); with a fixed width each part applies the kernel to
-    its own slice as soon as it is filled, and with ``auto`` the parts
-    apply it once the median of all the distances is known.
+    ``dist(a, b)`` returns the (b - a, n - a - 1) distances from rows
+    a..b-1 to rows a+1..n-1; a pair costs ``pair_cost`` element
+    operations. The build runs in three steps: the condensed distances,
+    filled in row parts (see ``gridmap.parts``); the width, ``sigma`` or
+    the median of the distances for ``auto``; the kernel, applied in row
+    parts again.
     """
     if n < 2:
         raise InputError("need at least 2 meters")
-    width = None
-    if sigma != AUTO:
-        width = float(sigma)
-        if not 0.0 < width < np.inf:
-            raise InputError("sigma must be positive and finite")
+    if sigma != AUTO and not 0.0 < float(sigma) < np.inf:
+        raise InputError("sigma must be positive and finite")
     i = np.arange(n)
     start = i * n - i * (i + 1) // 2    # row i's first pair; start[-1] is the count
     pairs = np.empty(start[-1])
-
-    def fill_rows(r0, r1):
-        fill(pairs, start, r0, r1)
-        if width is not None:
-            _gaussian(pairs[start[r0]:start[r1]], width)
-
-    in_row_parts(fill_rows, start * (pair_cost if width is None else pair_cost + KERNEL_COST))
-    if width is None:
-        width = _median_width(pairs)
-        in_row_parts(lambda r0, r1: _gaussian(pairs[start[r0]:start[r1]], width),
-                     start * KERNEL_COST)
+    in_row_parts(lambda r0, r1: _row_blocks(pairs, start, r0, r1, dist), start * pair_cost)
+    width = _median_width(pairs) if sigma == AUTO else float(sigma)
+    in_row_parts(lambda r0, r1: _gaussian(pairs[start[r0]:start[r1]], width),
+                 start * KERNEL_COST)
     m = squareform(pairs)
     np.fill_diagonal(m, 1.0)
     return SimilarityGraph(matrix=m, sigma=width, kind=kind)
@@ -123,11 +114,10 @@ def _similarity(n: int, fill, pair_cost: int, sigma, kind: str) -> SimilarityGra
 def _row_blocks(pairs, start, r0, r1, dist) -> None:
     """Fill rows r0..r1-1 of the condensed vector from blocks of rows.
 
-    ``dist(a, b)`` returns the (b - a, n - a - 1) distances from rows
-    a..b-1 to rows a+1..n-1, and each row keeps its j > i tail. A block
-    holds at most an eighth of the range's pairs (one row if that is more),
-    so the blocks of all parts, with their temporaries, stay within the
-    size of the condensed vector. The pairs left of a block's diagonal are
+    Each row of a ``dist`` block keeps its j > i tail. A block holds at
+    most an eighth of the range's pairs (one row if that is more), so the
+    blocks of all parts, with their temporaries, stay within the size of
+    the condensed vector. The pairs left of a block's diagonal are
     computed and dropped, a few percent of the work.
     """
     n = len(start)
@@ -143,15 +133,8 @@ def _row_blocks(pairs, start, r0, r1, dist) -> None:
 def voltage_similarity(data: MeterDataset, sigma=AUTO) -> SimilarityGraph:
     """Gaussian kernel on Euclidean distances between voltage rows."""
     volts = np.ascontiguousarray(data.voltages, dtype=float)
-    n = len(volts)
-
-    def fill(pairs, start, r0, r1):
-        if r1 == n - 1:
-            pdist(volts[r0:], out=pairs[start[r0]:])
-        else:
-            _row_blocks(pairs, start, r0, r1, lambda a, b: cdist(volts[a:b], volts[a + 1:]))
-
-    return _similarity(n, fill, volts.shape[1], sigma, "voltage")
+    return _similarity(len(volts), lambda a, b: cdist(volts[a:b], volts[a + 1:]),
+                       volts.shape[1], sigma, "voltage")
 
 
 def location_similarity(data: MeterDataset, sigma=AUTO) -> SimilarityGraph:
@@ -159,12 +142,9 @@ def location_similarity(data: MeterDataset, sigma=AUTO) -> SimilarityGraph:
     if data.locations is None:
         raise InputError("dataset has no meter locations")
     points = np.asarray(data.locations, dtype=float)
-
-    def fill(pairs, start, r0, r1):
-        _row_blocks(pairs, start, r0, r1,
-                    lambda a, b: haversine(points[a:b, None], points[None, a + 1:]))
-
-    return _similarity(len(points), fill, HAVERSINE_COST, sigma, "location")
+    return _similarity(len(points),
+                       lambda a, b: haversine(points[a:b, None], points[None, a + 1:]),
+                       HAVERSINE_COST, sigma, "location")
 
 
 def ideal_graph(truth: GroundTruth) -> SimilarityGraph:

@@ -1,8 +1,8 @@
 """Array work split into contiguous row parts, one thread per part.
 
 numpy's element-wise loops over more than a few hundred elements, and
-scipy's ``pdist`` and ``cdist``, release the interpreter lock, so threads
-running them on disjoint rows of one output array run on separate cores.
+scipy's ``cdist``, release the interpreter lock, so threads running them
+on disjoint rows of one output array run on separate cores.
 Each element is computed by the same operations whichever part holds its
 row, so the result is bit for bit that of one call over every row.
 

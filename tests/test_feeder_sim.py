@@ -186,13 +186,30 @@ def test_scalar_impedance_broadcasts():
     (dict(origin_lat_deg=89.9999), "would be placed at latitude 89.9999, longitude 5"),
     (dict(origin_lat_deg=-89.99999, k=1, meters_per_xfmr=[3], xfmr_impedance_pu=[0.004]),
      "a meter would be placed at latitude -90.000"),
+    # JSON booleans are not numbers, and every type error names its field
+    (dict(seed=True), "seed must be an integer"),
+    (dict(meters_per_xfmr=[True, 4]), "meters_per_xfmr must be integers"),
+    (dict(samples_per_day=True), "samples_per_day must be an integer"),
+    (dict(xfmr_impedance_pu=[0.004, True]), "xfmr_impedance_pu must be numbers"),
+    (dict(k=True), "k must be an integer"),
+    (dict(noise_std_pu="0"), "noise_std_pu must be a number"),
+    (dict(origin_lat_deg=None), "origin_lat_deg must be a number"),
 ], ids=["k0", "len-mismatch", "empty-group", "neg-line", "neg-xfmr", "short", "neg-noise", "ring",
         "fractional-count", "float-scalar-count", "neg-substation", "zero-substation",
         "lat-100", "lat-below-90", "lon-above-180", "neg-radius", "zero-spacing",
-        "neg-spacing", "grid-past-180", "grid-near-pole", "meters-past-pole"])
+        "neg-spacing", "grid-past-180", "grid-near-pole", "meters-past-pole",
+        "bool-seed", "bool-count-entry", "bool-samples-per-day", "bool-impedance-entry", "bool-k",
+        "string-noise", "null-origin"])
 def test_spec_validation(overrides, message):
     with pytest.raises(InputError, match=message):
         small_spec(**overrides)
+
+
+def test_spec_takes_numpy_and_integer_numbers():
+    spec = small_spec(k=np.int64(2), meters_per_xfmr=np.array([3, 4]), seed=np.uint8(3),
+                      xfmr_impedance_pu=[0, np.int64(1)], noise_std_pu=0, origin_lat_deg=np.int32(40))
+    assert spec.meters_per_xfmr == [3, 4] and type(spec.meters_per_xfmr[0]) is int
+    assert spec.xfmr_impedance_pu == [0.0, 1.0] and type(spec.xfmr_impedance_pu[1]) is float
 
 
 def test_spec_json_round_trip():

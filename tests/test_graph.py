@@ -323,8 +323,9 @@ def test_row_parts_on_few_rows_and_many_workers(monkeypatch, n, workers):
         for sigma in (AUTO, 0.02):
             serial, split = serial_then_split(monkeypatch, build, data, sigma, workers)
             assert split.matrix.tobytes() == serial.matrix.tobytes()
-    # every row but the last part's went through a cdist block
-    assert (sum(blocks) > 0) == (n > 2)
+    # every voltage row but the last went through exactly one cdist block per
+    # build: two widths, each built serially and split
+    assert sum(blocks) == 4 * (n - 1)
 
 
 @pytest.mark.parametrize("n, t", [(3, 1), (9, 7), (70, 96), (33, 2880), (130, 301)])
