@@ -171,10 +171,10 @@ def recover(data, xfmrs, k, method="spectral", sigma=AUTO, seed=0, sigma_l=AUTO,
     similarity graph, ``multiview`` co-regularizes them with the location
     graph's until the joint objective changes by less than ``tol``
     (relative), and ``kmeans-baseline`` clusters the raw voltage rows.
-    Location distances are haversine. Every method ends in k-means++ (its
-    default 10 restarts) and the geographic match of clusters to
-    transformers. Returns the mapping, the embedding and the voltage graph;
-    the baseline builds neither (None).
+    Location distances are haversine. Every method ends in k-means++
+    (``gridmap.cluster.RESTARTS`` restarts) and the geographic match of
+    clusters to transformers. Returns the mapping, the embedding and the
+    voltage graph; the baseline builds neither (None).
     """
     g_v = emb = None
     if method == "kmeans-baseline":
@@ -193,14 +193,16 @@ def recover(data, xfmrs, k, method="spectral", sigma=AUTO, seed=0, sigma_l=AUTO,
 
 
 def cmd_cluster(args) -> int:
-    data = load_dataset(args.voltages, args.locations)
-    xfmrs = load_transformers(args.transformers) if args.transformers else None
     if args.k is None:
         raise InputError("--k is required (flag or config file)")
     if args.k < 1:
         raise InputError("k must be positive")
     if not 0 < args.tol < math.inf:
         raise InputError("tol must be finite and positive")
+    if args.dump_embedding and args.method == "kmeans-baseline":
+        raise InputError("the raw-voltage baseline has no embedding to dump")
+    data = load_dataset(args.voltages, args.locations)
+    xfmrs = load_transformers(args.transformers) if args.transformers else None
 
     mapping, emb, g_v = recover(
         data, xfmrs, args.k, method=args.method, sigma=args.sigma, seed=args.seed,
@@ -213,8 +215,6 @@ def cmd_cluster(args) -> int:
             g_v = voltage_similarity(data, sigma=args.sigma)
         _write_matrix(args.dump_similarity, data.meter_ids, g_v.matrix)
     if args.dump_embedding:
-        if emb is None:
-            raise InputError("the raw-voltage baseline has no embedding to dump")
         _write_matrix(args.dump_embedding, data.meter_ids, emb.X)
 
     doc = {

@@ -12,7 +12,7 @@ of the expanded form below.
 Both inner loops are array operations that give the same bits as the
 row-by-row loops kept in ``tests/reference_kmeans.py``:
 
-- Seeding runs up to LOCKSTEP restarts in lockstep. Each step takes the
+- Seeding runs all RESTARTS restarts in lockstep. Each step takes the
   squared distances to every restart's latest pick as
   |x|^2 - 2 x.c + |c|^2, one matrix product. Where that cancels (at most
   1e-6 (|x|^2 + |c|^2)) the entries are recomputed from differences, so
@@ -42,7 +42,7 @@ from .ingest import GroundTruth, MeterDataset, TransformerSet
 
 MAX_ITER = 300      # Lloyd iterations per restart
 TOL = 1e-9          # relative inertia change that ends Lloyd
-LOCKSTEP = 16       # restarts seeded together; bounds the (restarts, N) seeding arrays
+RESTARTS = 10       # k-means++ runs per call, seeded together; the lowest inertia wins
 
 
 @dataclass
@@ -177,13 +177,8 @@ def _lloyd(points, centroids):
     return labels, centroids, prev_inertia, n_iter
 
 
-def kmeans_pp(
-    points: np.ndarray,
-    k: int,
-    seed: int,
-    restarts: int = 10,
-) -> KMeansResult:
-    """k-means++ (D^2 seeding plus Lloyd), best of ``restarts`` runs.
+def kmeans_pp(points: np.ndarray, k: int, seed: int) -> KMeansResult:
+    """k-means++ (D^2 seeding plus Lloyd), best of ``RESTARTS`` runs.
 
     Restart r draws from substream (seed, r), independent of how many
     restarts run, and the winner is chosen by (inertia, restart index).
@@ -196,8 +191,6 @@ def kmeans_pp(
         raise InputError("points must be a 2-D array")
     if not 1 <= k <= points.shape[0]:
         raise InputError(f"k must satisfy 1 <= k <= N, got k={k}, N={points.shape[0]}")
-    if restarts < 1:
-        raise InputError("restarts must be positive")
     if len({row.tobytes() for row in points + 0.0}) < k:  # + 0.0 folds -0.0 into 0.0
         # one cluster per distinct point is exact (inertia 0) and leaves the
         # rest empty whatever Lloyd does; it would only reseed them for MAX_ITER
@@ -211,16 +204,15 @@ def kmeans_pp(
 
     mean = points.mean(axis=0)
     centered = points - mean
+    rngs = [
+        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+        for r in range(RESTARTS)
+    ]
     best = None
-    for first in range(0, restarts, LOCKSTEP):
-        rngs = [
-            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
-            for r in range(first, min(first + LOCKSTEP, restarts))
-        ]
-        for centroids in _plusplus_seeds(centered, k, rngs):
-            labels, centroids, inertia, n_iter = _lloyd(centered, centroids)
-            if best is None or inertia < best[0]:
-                best = (inertia, labels, centroids, n_iter)
+    for centroids in _plusplus_seeds(centered, k, rngs):
+        labels, centroids, inertia, n_iter = _lloyd(centered, centroids)
+        if best is None or inertia < best[0]:
+            best = (inertia, labels, centroids, n_iter)
 
     inertia, labels, centroids, n_iter = best
     return KMeansResult(

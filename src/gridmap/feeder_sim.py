@@ -58,6 +58,20 @@ def _per_xfmr(spec, name: str, kind, what: str) -> list:
     return list(value)
 
 
+def _coordinates(name: str, value) -> np.ndarray:
+    """Field ``name`` of a spec: a list of (latitude, longitude) number
+    pairs, as a float (n, 2) array."""
+    what = f"{name} must be a list of (latitude, longitude) number pairs"
+    sequence = (list, tuple, np.ndarray)
+    if not isinstance(value, sequence):
+        raise InputError(f"{what}, got {value!r}")
+    for i, row in enumerate(value):
+        if not (isinstance(row, sequence) and len(row) == 2
+                and all(_is_a(numbers.Real, x) for x in row)):
+            raise InputError(f"{what}; entry {i} is {row!r}")
+    return np.array(value, dtype=float).reshape(-1, 2)
+
+
 @dataclass
 class FeederSpec:
     k: int
@@ -94,10 +108,9 @@ class FeederSpec:
         self.meters_per_xfmr = [int(n) for n in counts]
         impedances = _per_xfmr(self, "xfmr_impedance_pu", numbers.Real, "numbers")
         self.xfmr_impedance_pu = [float(r) for r in impedances]
-        if self.xfmr_locations is not None:
-            self.xfmr_locations = np.asarray(self.xfmr_locations, dtype=float)
-        if self.meter_locations is not None:
-            self.meter_locations = np.asarray(self.meter_locations, dtype=float)
+        for name in ("xfmr_locations", "meter_locations"):
+            if getattr(self, name) is not None:
+                setattr(self, name, _coordinates(name, getattr(self, name)))
         self.validate()
 
     @property
@@ -181,13 +194,15 @@ class FeederSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FeederSpec":
+        if not isinstance(d, dict):
+            raise InputError(f"a feeder spec must be a JSON object, got {d!r}")
         d = dict(d)
         unknown = set(d) - {f for f in cls.__dataclass_fields__}
         if unknown:
             raise InputError(f"unknown feeder spec field(s): {', '.join(sorted(unknown))}")
         for key in ("xfmr_locations", "meter_locations"):
             if d.get(key) is not None:
-                d[key] = np.radians(np.asarray(d[key], dtype=float))
+                d[key] = np.radians(_coordinates(key, d[key]))
         try:
             return cls(**d)
         except (TypeError, ValueError) as exc:

@@ -82,7 +82,7 @@ def solve_multiview(
     or MAX_OUTER_ITERS is hit (then a warning is issued). Each half-step
     minimizes the objective exactly, so the last iterate is also the best
     one. Returns the voltage-view embedding, the k-means++ result on its
-    rows (``kmeans_pp``'s default restarts), and the iteration record.
+    rows (``gridmap.cluster.RESTARTS`` restarts), and the iteration record.
     """
     if not 0 < tol < np.inf:
         raise InputError("tol must be finite and positive")

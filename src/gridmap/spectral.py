@@ -13,10 +13,11 @@ but only the eigenvectors it is asked for.
 A Gaussian kernel graph whose far pairs underflow to 0.0 has a Laplacian
 that is block diagonal under a permutation, one block per connected
 component, and its eigenpairs are the union of the blocks' eigenpairs.
-``by_component`` solves such a matrix block by block with a solver it is
-handed and merges the pieces, which is exact and costs the sum of the
-blocks' cubes instead of N cubed; a connected matrix is the one-block case
-and goes to the solver whole, uncopied. ``embed`` hands it the bottom-k
+``by_component`` finds the blocks by a breadth-first search over the
+matrix's nonzero mask, solves them one by one with a solver it is handed
+and merges the pieces, which is exact and costs the sum of the blocks'
+cubes instead of N cubed; a connected matrix is the one-block case and
+goes to the solver whole, uncopied. ``embed`` hands it the bottom-k
 solve, and the certificate hands it ``eigendecompose`` to get every
 measured eigenvalue. ``eigendecompose`` itself always solves the matrix it
 is given whole: it is the dense oracle the certificate is tested against,
@@ -76,23 +77,11 @@ def _components(a):
 
     Returns the components of two or more nodes as ascending node arrays,
     ordered by lowest node, and the isolated nodes as one ascending array.
-    When row 0 has no zero off-diagonal entry, node 0 touches every other
-    node, so an N >= 2 matrix is one component, found from that row alone;
-    this covers every dense kernel graph and every matrix lowered by a dense
-    H H'. Otherwise ``_mask_components`` searches the nonzero mask.
-    """
-    n = a.shape[0]
-    if n > 1 and np.all(a[0, 1:]):
-        return [np.arange(n)], np.empty(0, dtype=np.intp)
-    return _mask_components(a)
-
-
-def _mask_components(a):
-    """``_components`` by search. One pass over the matrix makes its N x N
-    nonzero mask (one byte an entry), which gives the isolated nodes. A
-    breadth-first search over the mask labels the rest: each step reads the
-    rows and columns of a whole frontier, and the search stops as soon as
-    every node is labelled.
+    One pass over the matrix makes its N x N nonzero mask (one byte an
+    entry), which gives the isolated nodes. A breadth-first search over the
+    mask labels the rest: each step reads the rows and columns of a whole
+    frontier, and the search stops as soon as every node is labelled, so a
+    dense matrix is one component after one step.
     """
     nz = a != 0
     np.fill_diagonal(nz, False)

@@ -380,6 +380,43 @@ def test_bad_config_exits_2(tmp_path, text):
     assert main(cluster_args(out, k=2, config=cfg)) == 2
 
 
+def spec_argv(command, spec, out):
+    argv = [command, "--spec", str(spec), "--out", str(out)]
+    if command == "sweep-noise":
+        argv += ["--noise-grid", "0.0", "--trials", "1"]
+    return argv
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep-noise"])
+@pytest.mark.parametrize("text", ["[1, 2]", '"abc"', "5", "null"])
+def test_spec_that_is_not_an_object_exits_2(tmp_path, capsys, command, text):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    assert main(spec_argv(command, spec, tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert "gridmap: error: a feeder spec must be a JSON object" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep-noise"])
+@pytest.mark.parametrize("locations", [
+    [[40.0, True], [40.0, -105.0]],
+    [[40.0, -105.0], [40.0]],
+    "abc",
+    {"a": 1},
+], ids=["bool", "short-pair", "string", "object"])
+def test_spec_coordinates_are_checked(tmp_path, capsys, command, locations):
+    doc = two_cluster_spec(0.0, seed=0).to_json_dict() | {"xfmr_locations": locations}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    assert main(spec_argv(command, spec, tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert "gridmap: error: xfmr_locations must be a list of" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("route", ["config", "simulate-spec", "sweep-spec", "mapping"])
 def test_undecodable_json_input_exits_2(tmp_path, capsys, route):
     src = simulate(tmp_path, two_cluster_spec(0.0, seed=0))
@@ -580,11 +617,17 @@ def test_baseline_dumps_the_graph_it_does_not_cluster(tmp_path):
     assert sim == (tmp_path / "spectral.csv").read_text()
 
 
-def test_baseline_has_no_embedding_to_dump(tmp_path):
+def test_baseline_has_no_embedding_to_dump(tmp_path, capsys):
+    # refused with the other argument checks, before anything is loaded or written
     out = simulate(tmp_path, two_cluster_spec(0.0, seed=6))
+    capsys.readouterr()
     assert main(cluster_args(
         out, k=2, method="kmeans-baseline", dump_embedding=tmp_path / "e.csv",
+        dump_similarity=tmp_path / "s.csv", out=tmp_path / "mapped",
     )) == 2
+    assert "no embedding to dump" in capsys.readouterr().err
+    for name in ("e.csv", "s.csv", "mapped"):
+        assert not (tmp_path / name).exists()
 
 
 def test_multiview_needs_locations(tmp_path):

@@ -10,7 +10,6 @@ import reference_kmeans
 import scenarios
 from gridmap import cluster
 from gridmap.cluster import (
-    LOCKSTEP,
     KMeansResult,
     MappingResult,
     _draws,
@@ -65,14 +64,16 @@ def test_same_seed_same_answer():
     assert a.inertia == b.inertia
 
 
-def test_more_restarts_never_hurt():
+def test_more_restarts_never_hurt(monkeypatch):
     # restart r always draws from substream (seed, r), so the 10-restart
     # winner is picked from a superset of the single-restart run
     rng = np.random.default_rng(31)
     pts = np.vstack([rng.normal(c, 0.8, (15, 2)) for c in ([0, 0], [4, 0], [0, 4], [5, 5])])
     for seed in range(10):
-        one = kmeans_pp(pts, 4, seed=seed, restarts=1)
-        ten = kmeans_pp(pts, 4, seed=seed, restarts=10)
+        monkeypatch.setattr(cluster, "RESTARTS", 1)
+        one = kmeans_pp(pts, 4, seed=seed)
+        monkeypatch.setattr(cluster, "RESTARTS", 10)
+        ten = kmeans_pp(pts, 4, seed=seed)
         assert ten.inertia <= one.inertia + 1e-12
 
 
@@ -113,8 +114,6 @@ def test_kmeans_input_validation():
         kmeans_pp(pts, 5, seed=0)
     with pytest.raises(InputError):
         kmeans_pp(np.zeros(4), 2, seed=0)
-    with pytest.raises(InputError):
-        kmeans_pp(pts, 2, seed=0, restarts=0)
 
 
 # --- bit-for-bit agreement with the loop-based reference -------------------
@@ -160,22 +159,24 @@ def _case(kind, i):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_kmeans_matches_the_reference_bit_for_bit(kind):
+def test_kmeans_matches_the_reference_bit_for_bit(kind, monkeypatch):
     # 4 x 120 inputs; the reference clusters the same centered points
     for i in range(120):
         pts, k, restarts = _case(kind, i)
-        assert _outcome(lambda: kmeans_pp(pts, k, seed=i, restarts=restarts)) == _outcome(
-            lambda: reference_kmeans.kmeans_pp(pts, k, seed=i, restarts=restarts)
-        )
+        monkeypatch.setattr(cluster, "RESTARTS", restarts)
+        got = _outcome(lambda: kmeans_pp(pts, k, seed=i))
+        want = _outcome(lambda: reference_kmeans.kmeans_pp(pts, k, seed=i, restarts=restarts))
+        assert got == want
 
 
 @pytest.mark.parametrize("kind, i", [("one-ulp", 99), ("tight", 3), ("tight", 11), ("tight", 91)])
-def test_near_duplicates_far_from_the_origin_do_not_fail(kind, i):
+def test_near_duplicates_far_from_the_origin_do_not_fail(kind, i, monkeypatch):
     # coordinates near 2 000, spread 1e-6 or one ulp: uncentered, the
     # expanded distance's rounding outgrew the distances and Lloyd raised
     # "inertia increased" on these four inputs
     pts, k, restarts = _case(kind, i)
-    km = kmeans_pp(pts, k, seed=i, restarts=restarts)
+    monkeypatch.setattr(cluster, "RESTARTS", restarts)
+    km = kmeans_pp(pts, k, seed=i)
     assert np.abs(pts).max() > 1e3
     assert km.labels.shape == (len(pts),) and 0 <= km.labels.min() <= km.labels.max() < k
     assert math.isfinite(km.inertia)
@@ -233,7 +234,7 @@ def test_lockstep_seeding_matches_lone_runs():
         rng = np.random.default_rng([13, i])
         n, d = int(rng.integers(2, 60)), int(rng.integers(1, 5))
         pts = _points(KINDS[i % len(KINDS)], rng, n, d, SCALES[i % len(SCALES)])
-        k, restarts = int(rng.integers(1, n + 1)), int(rng.integers(1, 2 * LOCKSTEP))
+        k, restarts = int(rng.integers(1, n + 1)), int(rng.integers(1, 32))
         lockstep = [_substream(i, r) for r in range(restarts)]
         got = _plusplus_seeds(pts, k, lockstep)
         assert got.shape == (restarts, k, d)
@@ -258,11 +259,12 @@ def test_a_restarts_result_does_not_depend_on_the_restart_count(monkeypatch):
     monkeypatch.setattr(cluster, "_lloyd", recorded)
     rng = np.random.default_rng(14)
     pts = np.vstack([rng.normal(c, 0.9, (12, 2)) for c in ([0, 0], [4, 0], [0, 4], [5, 5])])
-    counts = (1, 3, LOCKSTEP, LOCKSTEP + 1, 2 * LOCKSTEP + 5)
+    counts = (1, 3, 10, 37)
     by_count = {}
     for restarts in counts:
         runs.clear()
-        kmeans_pp(pts, 4, seed=3, restarts=restarts)
+        monkeypatch.setattr(cluster, "RESTARTS", restarts)
+        kmeans_pp(pts, 4, seed=3)
         by_count[restarts] = list(runs)
         assert len(runs) == restarts
     longest = by_count[counts[-1]]
@@ -271,20 +273,21 @@ def test_a_restarts_result_does_not_depend_on_the_restart_count(monkeypatch):
     assert len({start for start, *_ in longest}) > 1
 
 
-def test_restarts_take_the_coincident_branch_independently():
+def test_restarts_take_the_coincident_branch_independently(monkeypatch):
     # 0 and a lie closer than the square root of the smallest subnormal, as
     # do a and b, but 0 and b do not: a restart that picks a first finds
     # every squared distance 0 and picks uniformly; the others draw
     a, b = 1.5e-162, 3e-162
     assert (a - 0.0) ** 2 == (b - a) ** 2 == 0.0 < (b - 0.0) ** 2
     pts = np.array([[0.0], [a], [b]])
-    restarts = 2 * LOCKSTEP + 3
+    restarts = 35
+    monkeypatch.setattr(cluster, "RESTARTS", restarts)
     firsts = [_substream(5, r).integers(3) for r in range(restarts)]
     assert 0 < firsts.count(1) < restarts
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _plusplus_seeds(pts, 2, [_substream(5, r) for r in range(restarts)])
-        result = kmeans_pp(pts, 2, seed=5, restarts=restarts)
+        result = kmeans_pp(pts, 2, seed=5)
     for r in range(restarts):
         want = reference_kmeans._plusplus_seed(pts, 2, _substream(5, r))
         assert got[r].tobytes() == want.tobytes()
@@ -293,7 +296,7 @@ def test_restarts_take_the_coincident_branch_independently():
     )
 
 
-def test_the_lowest_failing_restart_raises():
+def test_the_lowest_failing_restart_raises(monkeypatch):
     # on "tight" input 63, Lloyd raises "inertia increased" in most
     # restarts (ROADMAP item 7); at seed 9 restart 0 converges and restarts
     # 1 and 2 raise different messages. Restarts run in index order, so
@@ -307,8 +310,9 @@ def test_the_lowest_failing_restart_raises():
     assert not isinstance(messages[0], str)
     assert all("inertia increased" in m for m in messages[1:])
     assert messages[1] != messages[2]
-    restarts = LOCKSTEP + 4
-    got = _outcome(lambda: kmeans_pp(pts, k, seed=9, restarts=restarts))
+    restarts = 20
+    monkeypatch.setattr(cluster, "RESTARTS", restarts)
+    got = _outcome(lambda: kmeans_pp(pts, k, seed=9))
     assert got == messages[1]
     assert got == _outcome(lambda: reference_kmeans.kmeans_pp(pts, k, seed=9, restarts=restarts))
 

@@ -194,12 +194,20 @@ def test_scalar_impedance_broadcasts():
     (dict(k=True), "k must be an integer"),
     (dict(noise_std_pu="0"), "noise_std_pu must be a number"),
     (dict(origin_lat_deg=None), "origin_lat_deg must be a number"),
+    # coordinates are number pairs too
+    (dict(xfmr_locations=[[0.7, True], [0.7, -1.8]]), "xfmr_locations must be a list of"),
+    (dict(xfmr_locations=[[0.7, -1.8], [0.7]]), r"xfmr_locations must be .* entry 1 is \[0.7\]"),
+    (dict(xfmr_locations="abc"), "xfmr_locations must be a list of"),
+    (dict(xfmr_locations={"a": 1}), "xfmr_locations must be a list of"),
+    (dict(meter_locations=[[0.7, -1.8]] * 6 + [[0.7, np.False_]]),
+     "meter_locations must be a list of"),
 ], ids=["k0", "len-mismatch", "empty-group", "neg-line", "neg-xfmr", "short", "neg-noise", "ring",
         "fractional-count", "float-scalar-count", "neg-substation", "zero-substation",
         "lat-100", "lat-below-90", "lon-above-180", "neg-radius", "zero-spacing",
         "neg-spacing", "grid-past-180", "grid-near-pole", "meters-past-pole",
         "bool-seed", "bool-count-entry", "bool-samples-per-day", "bool-impedance-entry", "bool-k",
-        "string-noise", "null-origin"])
+        "string-noise", "null-origin", "bool-coordinate", "short-pair", "string-locations",
+        "object-locations", "numpy-bool-coordinate"])
 def test_spec_validation(overrides, message):
     with pytest.raises(InputError, match=message):
         small_spec(**overrides)

@@ -8,10 +8,8 @@ graph, its Laplacian and the eigensolver's copy of it (about 3.15 N^2
 doubles at N = 400). The bounds leave a small margin over those figures,
 so a change that brings an N x N temporary back fails here. The graph
 bound also holds when the distances are filled in 16 row parts at once.
-
-k-means++ seeds its restarts LOCKSTEP at a time, holding a few
-(LOCKSTEP, N) arrays, so its peak stays within 64 rows of N doubles of a
-10-restart run's, however many restarts run.
+k-means++ seeds its ten restarts together in a few (10, N) arrays, which
+the ``recover`` bound covers.
 """
 import tracemalloc
 
@@ -20,7 +18,6 @@ import pytest
 
 import scenarios
 from gridmap.cli import recover
-from gridmap.cluster import LOCKSTEP, kmeans_pp
 from gridmap.feeder_sim import FeederSpec, generate_profiles, simulate_voltages
 from gridmap.graph import location_similarity, voltage_similarity
 
@@ -79,14 +76,3 @@ def test_spectral_recover_peak(feeder):
     n = data.n_meters
     assert traced_peak(lambda: recover(data, xfmrs, k, seed=0)) <= RECOVER_BOUND * n * n * 8
 
-
-def test_kmeans_peak_does_not_grow_with_restarts():
-    rng = np.random.default_rng(0)
-    n = 200
-    pts = np.vstack([rng.normal(c, 0.3, (n // 4, 4)) for c in 5.0 * np.eye(4)])
-    ten = traced_peak(lambda: kmeans_pp(pts, 4, seed=0, restarts=10))
-    thousand = traced_peak(lambda: kmeans_pp(pts, 4, seed=0, restarts=1000))
-    # a lockstep group holds about seven (LOCKSTEP, N) arrays: 45 more rows
-    # of N doubles at 16 restarts than at 10, and none more at 1000
-    assert LOCKSTEP <= 16
-    assert thousand <= ten + 64 * n * 8

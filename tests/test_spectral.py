@@ -9,11 +9,9 @@ from gridmap.feeder_sim import generate_profiles, simulate_voltages
 from gridmap.graph import ideal_graph, laplacian, location_similarity, voltage_similarity
 from gridmap.guarantee import canonical_angles
 from gridmap.multiview import combined_laplacian
-import gridmap.spectral
 from gridmap.spectral import (
     _components,
     _eigh,
-    _mask_components,
     eigendecompose,
     embed,
     fix_signs,
@@ -327,12 +325,7 @@ def test_all_zero_matrix_picks_the_lowest_nodes():
     assert np.array_equal(v, np.eye(6)[:, :3])
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_components_match_csgraph(seed):
-    rng = np.random.default_rng([14, seed])
-    n = int(rng.integers(1, 40))
-    a = np.where(rng.random((n, n)) < rng.choice([0.02, 0.05, 0.2]), rng.standard_normal((n, n)), 0.0)
-    np.fill_diagonal(a, rng.standard_normal(n))  # the diagonal links nothing
+def assert_components_match_csgraph(a):
     # an edge stored in one triangle only links its ends too
     count, label = connected_components(a != 0, directed=True, connection="weak")
     groups = [np.flatnonzero(label == c) for c in range(count)]
@@ -340,6 +333,16 @@ def test_components_match_csgraph(seed):
     blocks, isolated = _components(a)
     assert [b.tolist() for b in blocks] == [g.tolist() for g in groups if g.size > 1]
     assert isolated.tolist() == [int(g[0]) for g in groups if g.size == 1]
+    assert all(b.dtype == np.intp for b in blocks) and isolated.dtype == np.intp
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_components_match_csgraph(seed):
+    rng = np.random.default_rng([14, seed])
+    n = int(rng.integers(1, 40))
+    a = np.where(rng.random((n, n)) < rng.choice([0.02, 0.05, 0.2]), rng.standard_normal((n, n)), 0.0)
+    np.fill_diagonal(a, rng.standard_normal(n))  # the diagonal links nothing
+    assert_components_match_csgraph(a)
 
 
 def connected_cases():
@@ -375,7 +378,7 @@ def test_embed_splits_the_many_transformer_feeder():
     assert_embed_matches_full_solve(lap, spec.k)
 
 
-def shortcut_cases():
+def named_component_cases():
     rng = np.random.default_rng(16)
     for n in (2, 7, 40):
         b = rng.standard_normal((n, n))
@@ -393,23 +396,6 @@ def shortcut_cases():
         yield f"two-{name}", np.array(pair)
 
 
-@pytest.mark.parametrize("name, a", list(shortcut_cases()))
-def test_components_shortcut_matches_the_mask_route(name, a):
-    blocks, isolated = _components(a)
-    want_blocks, want_isolated = _mask_components(a)
-    assert len(blocks) == len(want_blocks)
-    for got, want in zip(blocks, want_blocks):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert isolated.dtype == want_isolated.dtype and np.array_equal(isolated, want_isolated)
-
-
-def test_full_first_row_builds_no_mask(monkeypatch):
-    def no_mask(a):
-        raise AssertionError("the nonzero mask was built")
-
-    monkeypatch.setattr(gridmap.spectral, "_mask_components", no_mask)
-    rng = np.random.default_rng(17)
-    lap = laplacian(ideal_graph(scenarios.make_truth([3, 3])))
-    h, _ = np.linalg.qr(rng.standard_normal((6, 2)))
-    blocks, isolated = _components(combined_laplacian(lap, h, 0.5))
-    assert [b.tolist() for b in blocks] == [list(range(6))] and isolated.size == 0
+@pytest.mark.parametrize("name, a", list(named_component_cases()))
+def test_components_match_csgraph_on_named_cases(name, a):
+    assert_components_match_csgraph(a)
