@@ -25,8 +25,10 @@ row-by-row loops kept in ``tests/reference_kmeans.py``:
   same rows in the same order as ``points[labels == c].mean(axis=0)``.
 
 Clusters are then tied to physical transformers through their members'
-mean coordinates, and label quality is scored against the reference
-assignment under the best one-to-one label matching.
+mean coordinates, by the minimum-cost one-to-one matching (each to its
+nearest when clusters outnumber transformers), and label quality is
+scored against the reference assignment under the best one-to-one label
+matching.
 """
 from __future__ import annotations
 
@@ -228,11 +230,14 @@ def assign_transformers(
     """Tie clusters to transformers by geographic proximity.
 
     Each cluster's coordinate is the arithmetic mean of its members'
-    (lat, lon) in radians. Clusters take their haversine-nearest
-    transformer; if that collides and there are at least as many
-    transformers as clusters, the conflict is resolved by the global
-    minimum-cost one-to-one matching. Without meter locations (or without
-    a transformer file) the labels are returned with no assignment.
+    (lat, lon) in radians. With at least as many transformers as
+    clusters, the clusters take the one-to-one matching that minimizes the
+    total haversine distance; where every cluster's nearest transformer is
+    a different one, that matching is those nearest transformers. With
+    more clusters than transformers, each cluster takes its nearest
+    transformer, with a warning that some share one. Without meter
+    locations (or without a transformer file) the labels are returned with
+    no assignment.
     """
     out = MappingResult(
         labels=result.labels, meter_ids=list(data.meter_ids), k=result.centroids.shape[0]
@@ -260,17 +265,12 @@ def attach_transformers(
     out.centroids_geo = geo
 
     cost = haversine(geo[:, None, :], xfmrs.locations[None, :, :])
-    nearest = cost.argmin(axis=1)
-    if len(set(nearest.tolist())) < k and k <= xfmrs.n_transformers:
-        rows, cols = linear_sum_assignment(cost)
-        chosen = np.empty(k, dtype=int)
-        chosen[rows] = cols
+    if k <= xfmrs.n_transformers:
+        # with no more rows than columns, every row is matched, in row order
+        chosen = linear_sum_assignment(cost)[1]
     else:
-        if len(set(nearest.tolist())) < k:
-            warnings.warn(
-                "more clusters than transformers; several clusters share a transformer"
-            )
-        chosen = nearest
+        warnings.warn("more clusters than transformers; several clusters share a transformer")
+        chosen = cost.argmin(axis=1)
 
     out.assignment = {c: xfmrs.xfmr_ids[chosen[c]] for c in range(k)}
     out.mapping = {

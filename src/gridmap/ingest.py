@@ -17,17 +17,18 @@ than 20 percent of its samples is dropped with a warning instead of imputed.
 Every file is streamed one line at a time. The voltage panel's numeric
 block is parsed by one ``np.loadtxt`` call fed from a generator over the
 open file: the generator splits off each meter id, writes empty cells as
-``nan`` and counts them, and refuses a line that is blank, has the wrong
-number of fields or holds a character that numpy reads as a separator but
-``float`` does not. That result is kept only if it has one row per line, a
-NaN for each empty cell and nothing else non-finite. Otherwise the file is
-parsed again one cell at a time with ``float``, the reference, which decides
-every error message. Quoted numeric cells, digits with underscores and
-non-ASCII digits take that path; every panel save_dataset writes, quoted
-ids and empty cells included, does not. Either way the panel costs about one
-N x T float64 array in memory. Unreadable files, undecodable bytes and
-malformed CSV raise InputError, as do bad cells; the first bad row in file
-order decides the error.
+``nan`` and counts them, and refuses a line that is blank, starts with a
+quote, has the wrong number of fields or holds a character that numpy reads
+as a separator but ``float`` does not. That result is kept only if it has
+one row per line, a NaN for each empty cell and nothing else non-finite.
+Otherwise the file is parsed again one cell at a time with ``float``, the
+reference, which decides every error message. Quoted ids (csv.writer quotes
+an id that holds a comma, a quote or a line break), quoted numeric cells,
+digits with underscores and non-ASCII digits take that path; every panel
+save_dataset writes with plain ids, empty cells included, does not. Either
+way the panel costs about one N x T float64 array in memory. Unreadable
+files, undecodable bytes and malformed CSV raise InputError, as do bad
+cells; the first bad row in file order decides the error.
 
 ``write_table`` writes every table of an id followed by floats: the panel,
 both coordinate files, and the command line's matrix dumps and eigs.csv.
@@ -39,7 +40,6 @@ import csv
 import itertools
 import math
 import os
-import re
 import stat
 import warnings
 from contextlib import contextmanager
@@ -53,8 +53,6 @@ MAX_MISSING_FRACTION = 0.2
 
 # numpy's float parser strips these as whitespace; float() rejects them
 _NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
-# a quoted id as csv.writer writes it, followed by the first delimiter
-_QUOTED_ID = re.compile(r'"((?:[^"]|"")*)",')
 
 
 @dataclass
@@ -135,9 +133,9 @@ def _loadtxt_panel(fh, t: int):
     """The ids and (n, t) samples of the rows left in ``fh``, or None.
 
     One np.loadtxt call parses every row; empty cells come back as NaN.
-    None means _per_cell_panel must decide: a line was refused, loadtxt
-    raised, or the result holds a NaN or infinity that no empty cell
-    explains.
+    None means _per_cell_panel must decide: a line was refused (one that
+    starts with a quoted id among them), loadtxt raised, or the result holds
+    a NaN or infinity that no empty cell explains.
     """
     ids: list[str] = []
     n_empty = 0
@@ -147,15 +145,10 @@ def _loadtxt_panel(fh, t: int):
         nonlocal n_empty
         for line in fh:
             line = line.rstrip("\r\n")
-            if line.startswith('"'):
-                quoted = _QUOTED_ID.match(line)
-                if quoted is None:
-                    raise ValueError("quoted id left to the per-cell parser")
-                meter_id, cells = quoted[1].replace('""', '"'), line[quoted.end():]
-            else:
-                meter_id, _, cells = line.partition(",")
+            meter_id, _, cells = line.partition(",")
             if (
                 not line
+                or line.startswith('"')  # a quoted id, which csv.reader unquotes
                 or cells.count(",") != t - 1
                 or any(c in cells for c in _NUMPY_ONLY_SPACE)
                 # csv.reader rejects a field longer than its limit
@@ -273,8 +266,6 @@ def load_dataset(voltages_path, locations_path=None) -> MeterDataset:
 
     if len(ids) < 2:
         raise InputError("need at least 2 meters after dropping incomplete rows")
-    if t < 2:
-        raise InputError("need at least 2 samples per meter")
     if not np.all(np.isfinite(volts)):
         raise InputError("voltages contain non-finite values after imputation")
     if not (np.all(volts > 0.0) and np.all(volts < 2.0)):

@@ -415,6 +415,33 @@ def test_crossed_nearest_choice_resolved_one_to_one():
     assert len(set(mapped.assignment.values())) == 2
 
 
+def test_distinct_nearest_transformers_are_the_matching():
+    # wherever every cluster's nearest transformer is a different one, the
+    # minimum-cost matching takes exactly those transformers
+    from gridmap.geo import haversine
+
+    distinct = 0
+    for seed in range(300):
+        rng = np.random.default_rng([17, seed])
+        k = int(rng.integers(1, 13))
+        n_x = k + int(rng.integers(0, 6))
+        lat0, lon0 = math.radians(rng.uniform(-60, 60)), math.radians(rng.uniform(-170, 170))
+        xfmr_locs = np.column_stack([lat0 + rng.uniform(0, 1e-3, n_x),
+                                     lon0 + rng.uniform(0, 1e-3, n_x)])
+        # each cluster near a transformer of its own, by a random spread
+        near = xfmr_locs[rng.permutation(n_x)[:k]]
+        meter_locs = near + rng.normal(0.0, rng.choice([1e-5, 1e-4, 3e-4]), (k, 2))
+        xfmrs = TransformerSet(xfmr_ids=[f"x{j}" for j in range(n_x)], locations=xfmr_locs)
+        km = KMeansResult(labels=np.arange(k), centroids=np.zeros((k, 1)), inertia=0.0, n_iter=0)
+        mapped = assign_transformers(km, _dataset_at(meter_locs), xfmrs)
+        nearest = haversine(meter_locs[:, None, :], xfmr_locs[None, :, :]).argmin(axis=1)
+        if np.unique(nearest).size == k:
+            distinct += 1
+            assert mapped.assignment == {c: f"x{nearest[c]}" for c in range(k)}
+        assert len(set(mapped.assignment.values())) == k
+    assert 100 <= distinct < 300  # both kinds of layout are drawn
+
+
 def test_feeder_pipeline_mapping_matches_truth():
     spec = scenarios.two_cluster_spec(noise=0.0, seed=3)
     data, xfmrs, truth = simulate_voltages(spec, generate_profiles(spec))

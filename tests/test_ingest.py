@@ -162,6 +162,7 @@ def test_meter_with_too_many_gaps_is_dropped(tmp_path):
     ("meter_id,t0,t1\na,1.0,1.0\na,1.0,1.0\n", "duplicate"),
     ("meter_id,t0,t1\na,1.0,1.0\n", "at least 2 meters"),
     ("meter_id,t0,t1\n", "at least 2 meters"),
+    ("meter_id,t0\na,1.0\nb,1.0\n", "at least two sample columns"),
     ("meter_id,t0,t1\na,1.0,1.0\nb,1.0\n", "expected 2"),
     ("meter_id,t0,t1\na,1.0,2.5\nb,1.0,1.0\n", "strictly inside"),
     ("meter_id,t0,t1\na,1.0,-1.0\nb,1.0,1.0\n", "strictly inside"),
@@ -188,10 +189,10 @@ def test_meter_with_too_many_gaps_is_dropped(tmp_path):
      re.escape("malformed CSV: field larger than field limit (131072)") + "$"),
     ("meter_id,t0,t1\n" + "a" * 131073 + ",1.0,1.0\nb,1.0,1.0\n",
      re.escape("malformed CSV: field larger than field limit (131072)") + "$"),
-], ids=["dup-id", "one-meter", "header-only", "ragged", "too-high", "negative", "inf", "garbage",
-        "minus-inf", "nan-before-garbage", "blank-line", "extra-field", "whitespace-cell",
-        "nan-beside-empty", "overflow", "numpy-only-space", "unterminated-id", "long-cell",
-        "long-id"])
+], ids=["dup-id", "one-meter", "header-only", "one-sample", "ragged", "too-high", "negative",
+        "inf", "garbage", "minus-inf", "nan-before-garbage", "blank-line", "extra-field",
+        "whitespace-cell", "nan-beside-empty", "overflow", "numpy-only-space", "unterminated-id",
+        "long-cell", "long-id"])
 def test_bad_voltage_files_rejected(tmp_path, body, message):
     path = _write(tmp_path / "v.csv", body)
     with pytest.raises(InputError, match=message):
@@ -249,7 +250,7 @@ def test_saved_panels_take_the_loadtxt_parse(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ingest, "_per_cell_panel", refuse)
     ds = _random_dataset(5, n=6, t=40, with_locations=False)
-    clean, blanked, quoted = (tmp_path / f"{name}.csv" for name in ("clean", "blanked", "quoted"))
+    clean, blanked = tmp_path / "clean.csv", tmp_path / "blanked.csv"
     save_dataset(ds, clean)
     with open(clean, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -259,16 +260,36 @@ def test_saved_panels_take_the_loadtxt_parse(tmp_path, monkeypatch):
             rows[i + 1][j + 1] = ""
     with open(blanked, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
-    ds.meter_ids[2] = 'm2,"west"'
-    save_dataset(ds, quoted)
-    for path in (clean, blanked, quoted):
+    for path in (clean, blanked):
         back = load_dataset(str(path))
         ids, volts, n_imputed, dropped = _per_cell_load(path)
         assert back.meter_ids == ids
         assert back.voltages.tobytes() == volts.tobytes()
         assert (back.n_imputed, back.dropped) == (n_imputed, dropped)
-    assert back.meter_ids[2] == 'm2,"west"'
     assert load_dataset(str(blanked)).n_imputed == 5
+
+
+def test_quoted_ids_take_the_per_cell_parse(tmp_path, monkeypatch):
+    # csv.writer quotes an id holding a comma, a quote or a line break; the
+    # one-call parse refuses the line and the per-cell parse unquotes it
+    calls = []
+    per_cell = ingest._per_cell_panel
+
+    def counting(*args):
+        calls.append(args[2])
+        return per_cell(*args)
+
+    monkeypatch.setattr(ingest, "_per_cell_panel", counting)
+    ds = _random_dataset(5, n=6, t=40, with_locations=False)
+    ds.meter_ids[2] = 'm2,"west"'
+    quoted = tmp_path / "quoted.csv"
+    save_dataset(ds, quoted)
+    back = load_dataset(str(quoted))
+    assert calls == [str(quoted)]
+    ids, volts, n_imputed, dropped = _per_cell_load(quoted)
+    assert back.meter_ids == ids and ids[2] == 'm2,"west"'
+    assert back.voltages.tobytes() == volts.tobytes()
+    assert (back.n_imputed, back.dropped) == (n_imputed, dropped)
 
 
 # ids that csv.writer must quote or leave alone, one of each kind

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 from scipy.sparse.csgraph import connected_components
 
+import gridmap.spectral
 import scenarios
 from gridmap.errors import InputError, NumericalError
 from gridmap.feeder_sim import generate_profiles, simulate_voltages
@@ -323,6 +324,26 @@ def test_all_zero_matrix_picks_the_lowest_nodes():
     w, v = _eigh(np.zeros((6, 6)), 3)
     assert np.array_equal(w, np.zeros(3))
     assert np.array_equal(v, np.eye(6)[:, :3])
+
+
+def test_isolated_nodes_take_no_solve(monkeypatch):
+    # a kernel narrow for the noise leaves every meter isolated, as in a
+    # noisy sweep trial; one 1 x 1 solve per meter would cost 40 times the
+    # embedding's time there, so the merge reads their diagonal entries
+    solves = []
+    bottom = gridmap.spectral._bottom
+
+    def counting(block, m):
+        solves.append(block.shape[0])
+        return bottom(block, m)
+
+    monkeypatch.setattr(gridmap.spectral, "_bottom", counting)
+    a = np.diag(np.arange(50.0)[::-1])
+    a[[3, 7], [7, 3]] = -1.0
+    w, v = _eigh(a, 4)
+    assert solves == [2]
+    assert np.array_equal(w, [0.0, 1.0, 2.0, 3.0])
+    assert np.array_equal(v[[49, 48, 47, 46]], np.eye(4))
 
 
 def assert_components_match_csgraph(a):
