@@ -25,7 +25,7 @@ from .cluster import (
 )
 from .errors import GridmapError, InputError, NumericalError
 from .feeder_sim import FeederSpec, LoadProfileSet, generate_profiles, simulate_voltages
-from .geo import EARTH_RADIUS_KM, euclidean_angle, haversine, pairwise_geo
+from .geo import EARTH_RADIUS_KM, haversine, pairwise_geo
 from .graph import (
     AUTO,
     SimilarityGraph,

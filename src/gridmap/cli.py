@@ -240,9 +240,8 @@ def cmd_validate(args) -> int:
     data = load_dataset(args.voltages)
     xfmrs = load_transformers(args.transformers)
     truth = load_ground_truth(args.ground_truth, data, xfmrs)
-    k = args.k if args.k is not None else truth.k
     g_v = voltage_similarity(data, sigma=args.sigma)
-    report = certify(g_v, truth, k)
+    report = certify(g_v, truth.labels)
 
     _make_out_dir(args.out)
     # the eigenvalue arrays are the only fields json cannot write as they are
@@ -259,7 +258,7 @@ def cmd_validate(args) -> int:
                 map(str, range(len(spectra))), spectra)
 
     verdict = "holds" if report.assumption_holds else "FAILS"
-    print(f"assumption {verdict}: delta = {report.delta:.6g} (k = {k})")
+    print(f"assumption {verdict}: delta = {report.delta:.6g} (k = {report.k})")
     return 0
 
 
@@ -405,8 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--voltages", required=True)
     p.add_argument("--transformers", required=True)
     p.add_argument("--ground-truth", required=True)
-    p.add_argument("--k", type=int, default=None,
-                   help="default: number of transformers in the ground truth")
     p.add_argument("--sigma", type=_sigma_arg, default=None)
     p.add_argument("--seed", type=int, default=None, help="recorded in guarantee.json")
     common(p)

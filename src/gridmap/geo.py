@@ -1,9 +1,7 @@
 """Geodesic distances between (latitude, longitude) pairs given in radians.
 
-Every distance the package measures is the haversine great-circle distance.
-A faster small-region approximation that treats latitude/longitude
-differences as a plane angle is kept for comparison with it. Both return
-kilometers on a sphere of radius 6371 km.
+Every distance the package measures is the haversine great-circle distance,
+in kilometers on a sphere of radius 6371 km.
 """
 from __future__ import annotations
 
@@ -32,21 +30,6 @@ def haversine(p, q):
     # roundoff can push the radicand a hair past 1 for antipodal points
     root = np.sqrt(np.clip(a, 0.0, 1.0))
     d = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(root, 1.0))
-    return float(d) if d.ndim == 0 else d
-
-
-def euclidean_angle(p, q):
-    """Planar-angle distance in km: R * sqrt(dlat^2 + dlon^2), dlon wrapped.
-
-    A cheap surrogate for haversine that ignores the cos(lat) compression of
-    longitude, so it never undershoots the great-circle distance by more than
-    roundoff and overshoots it at high latitude.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    dlat = q[..., 0] - p[..., 0]
-    dlon = wrap_lon(q[..., 1] - p[..., 1])
-    d = EARTH_RADIUS_KM * np.sqrt(dlat**2 + dlon**2)
     return float(d) if d.ndim == 0 else d
 
 

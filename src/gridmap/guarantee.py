@@ -1,7 +1,8 @@
 """Numerical certificates for the recovered clustering.
 
 Two kinds of statement are checked against a reference (ideal) Laplacian
-built from a known meter-to-transformer assignment:
+built from a known partition of the meters into k groups, where k is the
+number of groups:
 
 * an assumption check: the gap delta between the (k+1)-th smallest ideal
   eigenvalue and the k-th smallest eigenvalue of the measured-data
@@ -19,11 +20,12 @@ built from a known meter-to-transformer assignment:
 When the Ritz interval touches the rest of the spectrum (s <= 0) there is
 no guarantee and the bound is left unevaluated rather than reported false.
 
-The ideal Laplacian of a reference assignment is block-diagonal with
-blocks n_j I - J, so ``certify`` takes its spectrum, its action and its
-bottom eigenvectors in closed form and never forms it. The measured
-Laplacian is decomposed one connected component at a time, one
-``eigendecompose`` call per component of two or more meters.
+The ideal Laplacian of a partition is block-diagonal with blocks n_j I - J,
+so ``certify`` takes its spectrum, its action and its bottom eigenvectors
+(the k normalized group indicators, for the k zeros) in closed form and
+never forms it. The measured Laplacian is decomposed one connected
+component at a time, one ``eigendecompose`` call per component of two or
+more meters.
 """
 from __future__ import annotations
 
@@ -33,7 +35,6 @@ import numpy as np
 
 from .errors import InputError
 from .graph import SimilarityGraph, laplacian
-from .ingest import GroundTruth
 from .spectral import by_component, eigendecompose
 
 ORTHO_TOL = 1e-8
@@ -121,20 +122,14 @@ def _separation(interval: tuple[float, float], spectrum: np.ndarray) -> float:
     return sep if sep > SEP_TOL * max(1.0, float(np.abs(spectrum).max())) else 0.0
 
 
-def _ideal_spectrum(sizes: np.ndarray):
-    """Closed-form spectrum of the ideal Laplacian, ascending, and the group
-    each eigenvalue belongs to.
+def _ideal_spectrum(sizes: np.ndarray) -> np.ndarray:
+    """Closed-form spectrum of the ideal Laplacian, ascending.
 
-    The ideal Laplacian is block-diagonal with blocks n_j I - J: each
-    nonempty group contributes 0 (its indicator) and n_j repeated n_j - 1
-    times (its mean-zero directions). Ties are ordered by group.
+    The ideal Laplacian is block-diagonal with blocks n_j I - J: each group
+    contributes 0 (its indicator) and n_j repeated n_j - 1 times (its
+    mean-zero directions).
     """
-    sizes = np.asarray(sizes)
-    extra = np.maximum(sizes - 1, 0)
-    values = np.concatenate([np.zeros(np.count_nonzero(sizes)), np.repeat(sizes, extra)])
-    owner = np.concatenate([np.flatnonzero(sizes), np.repeat(np.arange(sizes.size), extra)])
-    order = np.argsort(values, kind="stable")
-    return values[order].astype(float), owner[order]
+    return np.sort(np.concatenate([np.zeros(sizes.size), np.repeat(sizes, sizes - 1)]))
 
 
 def _ideal_apply(labels: np.ndarray, sizes: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -144,33 +139,19 @@ def _ideal_apply(labels: np.ndarray, sizes: np.ndarray, x: np.ndarray) -> np.nda
     return sizes[labels][:, None] * x - sums[labels]
 
 
-def _ideal_basis(labels: np.ndarray, owners: np.ndarray) -> np.ndarray:
-    """Orthonormal eigenvectors of the ideal Laplacian, one per entry of
-    ``owners`` (the groups of its bottom eigenvalues, from _ideal_spectrum).
-
-    A group that owns c of them gets the first c columns of a Helmert basis
-    on its meters: the normalized indicator (eigenvalue 0), then contrasts
-    (eigenvalue n_j). When c = n_j these span every meter of the group.
-    """
-    counts = np.bincount(owners)
-    basis = np.zeros((labels.size, owners.size))
-    col = 0
-    for j in np.flatnonzero(counts):
-        members = np.flatnonzero(labels == j)
-        n, c = members.size, counts[j]
-        i = np.arange(n)[:, None]
-        m = np.arange(1, c)[None, :]
-        basis[members, col] = 1.0 / np.sqrt(n)
-        basis[members, col + 1 : col + c] = ((i < m) - m * (i == m)) / np.sqrt(m * (m + 1))
-        col += c
+def _ideal_basis(labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The ideal Laplacian's bottom eigenvectors, one per group in index
+    order: each group's indicator over sqrt(n_j), for its eigenvalue 0."""
+    basis = np.zeros((labels.size, sizes.size))
+    basis[np.arange(labels.size), labels] = 1.0 / np.sqrt(sizes)[labels]
     return basis
 
 
-def _bound(apply_l, x_tilde: np.ndarray, spectrum: np.ndarray, k: int, reference):
+def _bound(apply_l, x_tilde: np.ndarray, spectrum: np.ndarray, k: int, basis: np.ndarray):
     """The tan-Theta report for x_tilde against the bottom-k eigenspace of a
     reference Laplacian given by its action ``apply_l``, its ascending
-    ``spectrum`` and ``reference()``, an orthonormal basis of that eigenspace
-    (built only when the separation is positive)."""
+    ``spectrum`` and ``basis``, an orthonormal N x k basis of that
+    eigenspace (read only when the separation is positive)."""
     x_tilde = _check_frame(x_tilde, "x_tilde")
     lx = apply_l(x_tilde)
     p = x_tilde.T @ lx                          # the Rayleigh quotient
@@ -191,7 +172,7 @@ def _bound(apply_l, x_tilde: np.ndarray, spectrum: np.ndarray, k: int, reference
     if sep <= 0.0:
         return report  # no guarantee: interval touches the complementary spectrum
 
-    angles = canonical_angles(reference(), x_tilde)
+    angles = canonical_angles(basis, x_tilde)
     report.tan_norm_2 = angles.tan_norm_2
     report.tan_norm_fro = angles.tan_norm_fro
     report.bound_rhs_2 = report.residual_norm_2 / sep
@@ -201,13 +182,6 @@ def _bound(apply_l, x_tilde: np.ndarray, spectrum: np.ndarray, k: int, reference
     return report
 
 
-def _check_sizes(k: int, n: int, truth: GroundTruth) -> None:
-    if not 1 <= k < n:
-        raise InputError(f"k must satisfy 1 <= k < N, got k={k}, N={n}")
-    if truth.labels.shape != (n,):
-        raise InputError(f"ground truth covers {truth.labels.size} meters, the graph {n}")
-
-
 def _decompose(block: np.ndarray, m: int):
     # the module-level name is looked up at each call, so a wrapper put on
     # gridmap.guarantee.eigendecompose sees every component's solve
@@ -215,13 +189,15 @@ def _decompose(block: np.ndarray, m: int):
     return dec.eigenvalues, dec.eigenvectors
 
 
-def certify(real: SimilarityGraph, truth: GroundTruth, k: int) -> GuaranteeReport:
+def certify(real: SimilarityGraph, labels) -> GuaranteeReport:
     """Full report: assumption gap plus the perturbation bound, one call.
 
-    The approximate subspace is the k-dimensional bottom eigenspace of the
-    measured-data Laplacian, compared against the ideal Laplacian of the
-    reference assignment. That Laplacian is never formed: its spectrum,
-    its action on X~ and its bottom eigenvectors are all closed-form.
+    ``labels`` holds one label per meter, of any values; meters with equal
+    labels form a group, and k is the number of groups. The approximate
+    subspace is the k-dimensional bottom eigenspace of the measured-data
+    Laplacian, compared against the ideal Laplacian of that partition. That
+    Laplacian is never formed: its spectrum, its action on X~ and its
+    bottom eigenvectors are all closed-form.
 
     Every measured eigenvalue is reported, but only k eigenvectors are read.
     Each connected component of two or more meters gets one
@@ -233,17 +209,24 @@ def certify(real: SimilarityGraph, truth: GroundTruth, k: int) -> GuaranteeRepor
     the last bits against it.
     """
     l_real = laplacian(real)
-    _check_sizes(k, l_real.shape[0], truth)
-    labels, sizes = truth.labels, truth.sizes
+    n = l_real.shape[0]
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise InputError(f"the partition covers {labels.size} meters, the graph {n}")
+    _, labels, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    k = sizes.size
+    if k == n:
+        raise InputError(f"each of the {n} meters is a group of its own: "
+                         "no complementary spectrum")
     real_values, x_tilde = by_component(l_real, k, _decompose)
-    spectrum, owner = _ideal_spectrum(sizes)
+    spectrum = _ideal_spectrum(sizes)
 
     report = _bound(
         lambda x: _ideal_apply(labels, sizes, x),
         x_tilde,
         spectrum,
         k,
-        lambda: _ideal_basis(labels, owner[:k]),
+        _ideal_basis(labels, sizes),
     )
     report.real_eigenvalues = real_values
     report.delta = float(spectrum[k] - real_values[k - 1])

@@ -96,10 +96,6 @@ class GroundTruth:
     def k(self) -> int:
         return len(self.xfmr_ids)
 
-    @property
-    def sizes(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.k)
-
 
 @contextmanager
 def _csv_file(path):
@@ -266,8 +262,6 @@ def load_dataset(voltages_path, locations_path=None) -> MeterDataset:
 
     if len(ids) < 2:
         raise InputError("need at least 2 meters after dropping incomplete rows")
-    if not np.all(np.isfinite(volts)):
-        raise InputError("voltages contain non-finite values after imputation")
     if not (np.all(volts > 0.0) and np.all(volts < 2.0)):
         raise InputError("per-unit voltages must lie strictly inside (0, 2)")
 

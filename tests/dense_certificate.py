@@ -26,7 +26,7 @@ def tangent_bound(l_ideal: np.ndarray, x_tilde: np.ndarray, k: int) -> Guarantee
     dec = eigendecompose(l_ideal, k)
     if np.shape(x_tilde) != (l_ideal.shape[0], k):
         raise InputError(f"x_tilde must be {(l_ideal.shape[0], k)}, got {np.shape(x_tilde)}")
-    return _bound(lambda x: l_ideal @ x, x_tilde, dec.eigenvalues, k, lambda: dec.eigenvectors)
+    return _bound(lambda x: l_ideal @ x, x_tilde, dec.eigenvalues, k, dec.eigenvectors)
 
 
 def eigengap_and_separation(l_ideal: np.ndarray, x_tilde: np.ndarray, k: int):

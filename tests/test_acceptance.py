@@ -2,6 +2,8 @@
 
 Run `pytest tests/test_acceptance.py -s` to see the PASS/FAIL lines as
 they happen; without -s they still show up for any failing criterion.
+Criterion 11 compares haversine with the planar approximation
+``euclidean_angle``, which lives here with its own two tests.
 """
 
 import dataclasses
@@ -10,11 +12,12 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from gridmap.cli import main, recover
 from gridmap.cluster import evaluate, kmeans_pp
 from gridmap.feeder_sim import generate_profiles, simulate_voltages
-from gridmap.geo import EARTH_RADIUS_KM, euclidean_angle, haversine
+from gridmap.geo import EARTH_RADIUS_KM, haversine, wrap_lon
 from gridmap.graph import ideal_graph, laplacian, voltage_similarity
 from gridmap.guarantee import certify
 from gridmap.spectral import eigendecompose, embed
@@ -192,7 +195,7 @@ def test_criterion_07_assumption_check_tracks_noise():
         deltas = []
         for seed in range(20):
             data, _, truth = simulate(three_cluster_spec(noise, seed=seed))
-            report = certify(voltage_similarity(data), truth, 3)
+            report = certify(voltage_similarity(data), truth.labels)
             deltas.append(report.delta)
             if noise == 0.0:
                 low_noise_positive &= report.assumption_holds
@@ -260,6 +263,48 @@ def test_criterion_09_multiview_rescues_the_boundary_meter():
 def test_criterion_10_baseline_trails_spectral():
     wins = sum(b < s for s, _, b in two_site_accuracies())
     check(10, wins >= 18, f"raw-voltage baseline strictly below spectral on {wins}/20 seeds")
+
+
+def euclidean_angle(p, q):
+    """Planar-angle distance in km: R * sqrt(dlat^2 + dlon^2), dlon wrapped.
+
+    A cheap surrogate for haversine that ignores the cos(lat) compression of
+    longitude, so it never undershoots the great-circle distance by more than
+    roundoff and overshoots it at high latitude.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    dlat = q[..., 0] - p[..., 0]
+    dlon = wrap_lon(q[..., 1] - p[..., 1])
+    d = EARTH_RADIUS_KM * np.sqrt(dlat**2 + dlon**2)
+    return float(d) if d.ndim == 0 else d
+
+
+def test_lat60_flat_overestimates_by_factor_two():
+    one_deg_km = EARTH_RADIUS_KM * math.pi / 180.0
+    # with no latitude change on the equator the flat approximation agrees exactly
+    p = np.array([0.0, 0.0])
+    q = np.array([0.0, math.radians(1.0)])
+    assert euclidean_angle(p, q) == pytest.approx(haversine(p, q), rel=1e-12)
+    lat = math.radians(60.0)
+    p = np.array([lat, 0.0])
+    q = np.array([lat, math.radians(1.0)])
+    flat = euclidean_angle(p, q)
+    great = haversine(p, q)
+    assert flat == pytest.approx(one_deg_km, rel=1e-9)
+    assert flat / great == pytest.approx(2.0, rel=1e-3)
+
+
+def test_flat_metric_never_below_great_circle():
+    # the flat approximation treats lat/lon as planar, which can only
+    # stretch distances; checked over a large random sample
+    rng = np.random.default_rng(17)
+    n = 100_000
+    p = np.stack([rng.uniform(-np.pi / 2, np.pi / 2, n),
+                  rng.uniform(-np.pi, np.pi, n)], axis=1)
+    q = np.stack([rng.uniform(-np.pi / 2, np.pi / 2, n),
+                  rng.uniform(-np.pi, np.pi, n)], axis=1)
+    assert np.all(haversine(p, q) <= euclidean_angle(p, q) + 1e-9)
 
 
 def test_criterion_11_geodesic_checks():

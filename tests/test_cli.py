@@ -288,10 +288,13 @@ def test_unknown_method_is_an_argparse_error(tmp_path):
     pytest.param("cluster", ["--restarts", "5"], id="--restarts"),
     pytest.param("cluster", ["--geo-metric", "haversine"], id="--geo-metric"),
     pytest.param("sweep-noise", ["--restarts", "5"], id="sweep-noise--restarts"),
+    pytest.param("validate-assumption", ["--k", "2"], id="validate-assumption--k"),
 ])
 def test_removed_multiview_flags_exit_2(tmp_path, command, flag):
     if command == "cluster":
         argv = cluster_args(tmp_path, k=2, method="multiview", out=tmp_path / "o") + flag
+    elif command == "validate-assumption":
+        argv = _validate(tmp_path, sub="o") + flag
     else:
         argv = ["sweep-noise", "--spec", write_spec(tmp_path / "spec.json", two_cluster_spec()),
                 "--noise-grid", "0.0", "--trials", "1", "--out", str(tmp_path / "o")] + flag
@@ -299,6 +302,16 @@ def test_removed_multiview_flags_exit_2(tmp_path, command, flag):
         main(argv)
     assert err.value.code == 2
     assert not (tmp_path / "o").exists()
+
+
+def test_validate_config_k_is_not_an_option(tmp_path, capsys):
+    # k comes from the ground truth's groups; a config file cannot set it
+    src = simulate(tmp_path, two_cluster_spec(0.0, seed=0))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k": 2}))
+    assert main(_validate(src, sub="o") + ["--config", str(cfg)]) == 2
+    assert "config k: not an option of validate-assumption" in capsys.readouterr().err
+    assert not (src / "o").exists()
 
 
 # Each subcommand's option dests, pinned: a change that adds or drops a knob
@@ -310,7 +323,7 @@ OPTIONS = {
         "seed", "sigma", "sigma_l", "tol", "transformers", "voltages",
     ],
     "validate-assumption": [
-        "config", "ground_truth", "k", "out", "seed", "sigma", "transformers", "voltages",
+        "config", "ground_truth", "out", "seed", "sigma", "transformers", "voltages",
     ],
     "evaluate": ["config", "ground_truth", "mapping", "out", "transformers"],
     "sweep-noise": ["config", "noise_grid", "out", "seed", "sigma", "spec", "trials"],

@@ -5,7 +5,6 @@ import pytest
 
 from gridmap.geo import (
     EARTH_RADIUS_KM,
-    euclidean_angle,
     haversine,
     pairwise_geo,
     wrap_lon,
@@ -27,18 +26,6 @@ def test_equator_one_degree():
     q = np.array([0.0, math.radians(1.0)])
     assert haversine(p, q) == pytest.approx(EQUATOR_ONE_DEG_KM, rel=1e-9)
     assert haversine(p, q) == pytest.approx(111.1949, abs=1e-3)
-    # with no latitude change the flat approximation agrees exactly
-    assert euclidean_angle(p, q) == pytest.approx(haversine(p, q), rel=1e-12)
-
-
-def test_lat60_flat_overestimates_by_factor_two():
-    lat = math.radians(60.0)
-    p = np.array([lat, 0.0])
-    q = np.array([lat, math.radians(1.0)])
-    flat = euclidean_angle(p, q)
-    great = haversine(p, q)
-    assert flat == pytest.approx(EQUATOR_ONE_DEG_KM, rel=1e-9)
-    assert flat / great == pytest.approx(2.0, rel=1e-3)
 
 
 def test_same_point_zero_and_symmetry():
@@ -53,18 +40,6 @@ def test_same_point_zero_and_symmetry():
     assert np.allclose(d_pq, d_qp, rtol=0.0, atol=1e-9)
     assert np.all(d_pq >= 0.0)
     assert np.all(d_pq <= math.pi * EARTH_RADIUS_KM + 1e-9)
-
-
-def test_flat_metric_never_below_great_circle():
-    # the flat approximation treats lat/lon as planar, which can only
-    # stretch distances; checked over a large random sample
-    rng = np.random.default_rng(17)
-    n = 100_000
-    p = np.stack([rng.uniform(-np.pi / 2, np.pi / 2, n),
-                  rng.uniform(-np.pi, np.pi, n)], axis=1)
-    q = np.stack([rng.uniform(-np.pi / 2, np.pi / 2, n),
-                  rng.uniform(-np.pi, np.pi, n)], axis=1)
-    assert np.all(haversine(p, q) <= euclidean_angle(p, q) + 1e-9)
 
 
 def test_lon_wrap():

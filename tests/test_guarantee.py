@@ -131,7 +131,7 @@ def test_overlapping_ritz_interval_gives_no_guarantee():
 
 def test_assumption_on_ideal_graph():
     truth = scenarios.make_truth([4, 5, 6])
-    report = certify(ideal_graph(truth), truth, 3)
+    report = certify(ideal_graph(truth), truth.labels)
     assert report.delta == pytest.approx(4.0, abs=1e-8)
     assert report.assumption_holds
 
@@ -141,7 +141,7 @@ def test_assumption_under_small_graph_perturbation():
     # shrink by at most that much
     truth = scenarios.make_truth([4, 5, 6])
     g = perturbed_ideal_graph(truth, 0.01, seed=11)
-    report = certify(g, truth, 3)
+    report = certify(g, truth.labels)
     assert 3.9 < report.delta < 4.0
     assert report.assumption_holds
 
@@ -149,7 +149,7 @@ def test_assumption_under_small_graph_perturbation():
 def test_assumption_fails_when_clusters_merge():
     truth = scenarios.make_truth([2, 2])
     all_ones = SimilarityGraph(matrix=np.ones((4, 4)), sigma=1.0, kind="voltage")
-    report = certify(all_ones, truth, 2)
+    report = certify(all_ones, truth.labels)
     assert report.delta == pytest.approx(-2.0, abs=1e-8)
     assert not report.assumption_holds
 
@@ -197,7 +197,7 @@ def test_dominance_requires_degenerate_bottom():
 def test_certify_on_a_clean_feeder():
     spec = scenarios.three_cluster_spec(noise=0.0, seed=5)
     data, _, truth = simulate_voltages(spec, generate_profiles(spec))
-    report = certify(voltage_similarity(data), truth, 3)
+    report = certify(voltage_similarity(data), truth.labels)
     assert report.assumption_holds
     assert report.delta == pytest.approx(4.0, abs=1e-3)
     assert report.separation > 0.0
@@ -210,7 +210,7 @@ def test_certify_on_a_clean_feeder():
 def test_certify_reports_failure_without_claiming_a_bound():
     spec = scenarios.three_cluster_spec(noise=1e-3, seed=0)
     data, _, truth = simulate_voltages(spec, generate_profiles(spec))
-    report = certify(voltage_similarity(data), truth, 3)
+    report = certify(voltage_similarity(data), truth.labels)
     assert not report.assumption_holds
     assert report.delta < 0.0
 
@@ -219,18 +219,14 @@ def test_k_bounds_everywhere():
     truth = scenarios.make_truth([2, 2])
     g = ideal_graph(truth)
     with pytest.raises(InputError):
-        certify(g, truth, 0)
-    with pytest.raises(InputError):
         tangent_bound(laplacian(g), np.eye(4)[:, :1], 0)
-    with pytest.raises(InputError):
-        certify(g, truth, 4)
 
 
 def test_ground_truth_must_cover_the_graph():
     g = ideal_graph(scenarios.make_truth([2, 2]))
     truth = scenarios.make_truth([3, 3])
     with pytest.raises(InputError, match="covers 6 meters, the graph 4"):
-        certify(g, truth, 2)
+        certify(g, truth.labels)
 
 
 def dense_certify(g, truth, k):
@@ -254,6 +250,13 @@ def assert_reports_equal(got, ref):
 
 def feeder_case():
     spec = scenarios.three_cluster_spec(noise=0.0, seed=5)
+    data, _, truth = simulate_voltages(spec, generate_profiles(spec))
+    return voltage_similarity(data), truth
+
+
+def noisy_feeder_case():
+    # the Ritz interval reaches the ideal 4: no separation at k = truth.k
+    spec = scenarios.three_cluster_spec(noise=1e-3, seed=0)
     data, _, truth = simulate_voltages(spec, generate_profiles(spec))
     return voltage_similarity(data), truth
 
@@ -312,9 +315,7 @@ def small_components_case():
 @pytest.mark.parametrize("case, k, bounded", [
     (feeder_case, 3, True),            # k = truth.k
     (perturbed_456_case, 3, True),
-    (perturbed_456_case, 6, True),     # k > truth.k, ideal 4 < 5: group 0 whole
-    (perturbed_456_case, 4, False),    # k > truth.k, ideal 4 = 4: no separation
-    (perturbed_456_case, 2, False),    # k < truth.k, ideal 0 = 0: no separation
+    (noisy_feeder_case, 3, False),
     # feeder_case's graph has 2 components; these add more components,
     # isolated meters and components smaller than k + 1
     (many_xfmr_case, 24, True),
@@ -323,10 +324,31 @@ def small_components_case():
 ])
 def test_closed_form_certificate_equals_the_decomposed_one(case, k, bounded):
     g, truth = case()
-    report = certify(g, truth, k)
+    report = certify(g, truth.labels)
     assert_reports_equal(report, dense_certify(g, truth, k))
     assert (report.separation > 0.0) == bounded
     assert (report.bound_holds_2 is not None) == bounded
+
+
+@pytest.mark.parametrize("case", [feeder_case, isolated_meters_case])
+def test_certify_takes_any_partition_labels(case):
+    # only the partition matters: relabeled groups give the same bits
+    g, truth = case()
+    ref = certify(g, truth.labels)
+    names = np.array([truth.mapping[m] for m in truth.meter_ids])
+    for labels in (truth.labels * 7 + 3, names):
+        got = certify(g, labels)
+        for field in dataclasses.fields(GuaranteeReport):
+            a, b = getattr(got, field.name), getattr(ref, field.name)
+            if isinstance(b, np.ndarray):
+                assert a.tobytes() == b.tobytes(), field.name
+            else:
+                assert a == b, field.name
+    n = truth.labels.size
+    with pytest.raises(InputError, match=f"covers {n - 1} meters, the graph {n}"):
+        certify(g, truth.labels[1:])
+    with pytest.raises(InputError, match="group of its own"):
+        certify(g, np.arange(n))
 
 
 def test_connected_certificate_keeps_the_whole_matrix_bits():
@@ -334,7 +356,7 @@ def test_connected_certificate_keeps_the_whole_matrix_bits():
     lap = laplacian(g)
     blocks, isolated = _components(lap)
     assert len(blocks) == 1 and isolated.size == 0
-    report = certify(g, truth, 3)
+    report = certify(g, truth.labels)
     whole = eigendecompose(lap).eigenvalues
     assert report.real_eigenvalues.tobytes() == whole.tobytes()
     assert report.delta == float(report.ideal_eigenvalues[3] - whole[2])
@@ -352,6 +374,6 @@ def test_certify_decomposes_each_component_through_the_module_name(monkeypatch, 
         return eigendecompose(matrix, k)
 
     monkeypatch.setattr(gridmap.guarantee, "eigendecompose", counting)
-    certify(g, truth, truth.k)
+    certify(g, truth.labels)
     assert len(sizes) == solves
     assert sum(sizes) == g.matrix.shape[0]  # no isolated meters in either

@@ -418,7 +418,6 @@ def test_ground_truth_four_meters(tmp_path):
     )
     truth = load_ground_truth(path, ["m0", "m1", "m2", "m3"], _two_xfmrs())
     assert truth.k == 2
-    assert tuple(truth.sizes) == (2, 2)
     assert truth.mapping["m2"] == "B"
     assert list(truth.labels) == [0, 0, 1, 1]
 

@@ -9,7 +9,7 @@ PUBLIC = [
     "NumericalError", "SimilarityGraph", "SpectralEmbedding",
     "TransformerSet", "assign_transformers", "attach_transformers", "canonical_angles",
     "certify", "combined_laplacian", "disagreement", "eigendecompose", "embed",
-    "euclidean_angle", "evaluate", "fix_signs", "generate_profiles", "haversine", "ideal_graph",
+    "evaluate", "fix_signs", "generate_profiles", "haversine", "ideal_graph",
     "kmeans_pp", "laplacian", "load_dataset", "load_ground_truth",
     "load_transformers", "location_similarity", "pairwise_geo", "recover",
     "save_dataset", "save_ground_truth", "save_transformers", "simulate_voltages",
