@@ -23,14 +23,16 @@ balanced by pairs; a part computes blocks of at most BLOCK_ROWS rows
 against the rows after them (``cdist`` for voltages, broadcast haversine
 for locations) and keeps each row's j > i tail. Then the width is taken,
 the number given or the median distance for ``auto``. Then the kernel runs
-over the vector in row parts again. Every distance and kernel value has the
-bits one serial ``pdist``, or the haversine distance of one row to the rows
-after it, gives. A part holds O(N) doubles of its own, so building a graph
-still peaks at one N x N matrix plus the condensed half, 1.5 N^2 doubles.
-The median for the ``auto`` width, and ``squareform``, run in one thread.
+over the whole vector in one pass. Every distance has the bits one serial
+``pdist``, or the haversine distance of one row to the rows after it,
+gives. A part holds O(N) doubles of its own, so building a graph still
+peaks at one N x N matrix plus the condensed half, 1.5 N^2 doubles. Only
+the distances run in parts; the kernel, measured in parts on two cores,
+ran no faster than whole.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +50,8 @@ AUTO = "auto"
 SYMMETRY_TOL = 1e-12
 
 BLOCK_ROWS = 64         # rows per block of distances at most, so a block holds O(N) doubles
-# element operations (see gridmap.parts) per pair, beside one per voltage sample
-KERNEL_COST = 6
+# element operations (see gridmap.parts) per location pair; a voltage pair
+# costs one per sample
 HAVERSINE_COST = 128
 
 
@@ -76,8 +78,8 @@ def _median_width(pairs: np.ndarray) -> float:
 
 
 def _gaussian(pairs: np.ndarray, width: float) -> None:
-    """exp(-(d / width)^2) in place. numpy's error state is per thread, so
-    each row part sets its own."""
+    """exp(-(d / width)^2) in place. Far pairs underflow to 0.0 and, for
+    a subnormal width, d / width overflows to inf; both are meant."""
     with np.errstate(under="ignore", over="ignore"):
         pairs /= width
         np.square(pairs, out=pairs)
@@ -92,20 +94,20 @@ def _similarity(n: int, dist, pair_cost: int, sigma, kind: str) -> SimilarityGra
     a..b-1 to rows a+1..n-1; a pair costs ``pair_cost`` element
     operations. The build runs in three steps: the condensed distances,
     filled in row parts (see ``gridmap.parts``); the width, ``sigma`` or
-    the median of the distances for ``auto``; the kernel, applied in row
-    parts again.
+    the median of the distances for ``auto``; the kernel, in one pass.
+    ``sigma`` is ``auto`` or a positive, finite, non-boolean real number.
     """
     if n < 2:
         raise InputError("need at least 2 meters")
-    if sigma != AUTO and not 0.0 < float(sigma) < np.inf:
-        raise InputError("sigma must be positive and finite")
+    real = isinstance(sigma, numbers.Real) and not isinstance(sigma, bool)
+    if not ((real and 0.0 < sigma < np.inf) or (isinstance(sigma, str) and sigma == AUTO)):
+        raise InputError(f"sigma must be {AUTO!r} or a positive, finite number, got {sigma!r}")
     i = np.arange(n)
     start = i * n - i * (i + 1) // 2    # row i's first pair; start[-1] is the count
     pairs = np.empty(start[-1])
     in_row_parts(lambda r0, r1: _row_blocks(pairs, start, r0, r1, dist), start * pair_cost)
     width = _median_width(pairs) if sigma == AUTO else float(sigma)
-    in_row_parts(lambda r0, r1: _gaussian(pairs[start[r0]:start[r1]], width),
-                 start * KERNEL_COST)
+    _gaussian(pairs, width)
     m = squareform(pairs)
     np.fill_diagonal(m, 1.0)
     return SimilarityGraph(matrix=m, sigma=width, kind=kind)

@@ -1,8 +1,10 @@
 """Array work split into contiguous row parts, one thread per part.
 
-numpy's element-wise loops over more than a few hundred elements, and
-scipy's ``cdist``, release the interpreter lock, so threads running them
-on disjoint rows of one output array run on separate cores.
+Its one user is the graphs' pair-distance pass (``gridmap.graph``):
+``cdist`` and numpy's loops release the interpreter lock, so threads
+filling disjoint rows of one output array run on separate cores. The
+kernel and the load profiles, a few cheap operations per element, ran no
+faster in parts on two cores, so they run whole.
 Each element is computed by the same operations whichever part holds its
 row, so the result is bit for bit that of one call over every row.
 

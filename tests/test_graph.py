@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import threading
 import warnings
@@ -117,11 +118,13 @@ def test_auto_sigma_is_median_distance():
 
 
 def test_sigma_must_be_positive():
-    data = _dataset([[1.0, 1.0], [1.01, 1.0]])
-    with pytest.raises(InputError):
-        voltage_similarity(data, sigma=0.0)
-    with pytest.raises(InputError):
-        voltage_similarity(data, sigma=-1.0)
+    # only "auto" or a positive, finite real number that is not a boolean
+    data = _dataset([[1.0, 1.0], [1.01, 1.0]], np.array([[0.7, -1.8], [0.7, -1.8 + 1e-5]]))
+    for build in (voltage_similarity, location_similarity):
+        for sigma in (0.0, -1.0, math.inf, math.nan, "median", True, None, [1.0]):
+            with pytest.raises(InputError, match="sigma must be") as raised:
+                build(data, sigma=sigma)
+            assert repr(sigma) in str(raised.value)
 
 
 def test_laplacian_row_sums_and_psd():
@@ -346,7 +349,8 @@ def test_cdist_rows_are_the_condensed_pdist_rows_bit_for_bit(n, t):
 
 
 def test_subnormal_width_clamps_silently_in_row_parts(monkeypatch):
-    # numpy's error state does not carry into worker threads; each part sets its own
+    # the distances run in worker threads, the kernel after them in the
+    # caller's, under the error state it sets
     scenarios.split_rows(monkeypatch, 3)
     locs = np.array([[0.7, -1.8], [0.7, -1.8 + 1e-5], [0.7 + 1e-5, -1.8], [0.7, -1.8 + 2e-5]])
     data = _dataset([[1.0, 1.0], [1.01, 1.0], [1.0, 1.02], [1.03, 1.0]], locs)
@@ -356,6 +360,27 @@ def test_subnormal_width_clamps_silently_in_row_parts(monkeypatch):
         g_l = location_similarity(data, sigma=1e-320)
     assert np.array_equal(g_v.matrix, np.eye(4))
     assert np.array_equal(g_l.matrix, np.eye(4))
+
+
+def test_only_the_distances_run_in_a_pool(monkeypatch):
+    scenarios.split_rows(monkeypatch, 4)
+    pools = []
+
+    class CountedPool(parts.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(parts, "ThreadPoolExecutor", CountedPool)
+    data = SCENARIO_DATASETS[0][1]
+    for build in (voltage_similarity, location_similarity):
+        for sigma in (AUTO, 0.05):
+            del pools[:]
+            build(data, sigma=sigma)
+            assert len(pools) == 1
+    del pools[:]
+    generate_profiles(dataclasses.replace(scenarios.three_cluster_spec(), load_noise_pu=0.004))
+    assert pools == []
 
 
 @pytest.mark.parametrize("cost", [[0, 5, 10, 15, 20], [0, 0, 0, 10], [0, 10, 10, 10], [0, 1],
