@@ -6,6 +6,7 @@ import pytest
 from scipy.spatial.distance import pdist, squareform
 
 import reference_feeder_sim
+import scenarios
 from gridmap import feeder_sim
 from gridmap.errors import InputError, NumericalError
 from gridmap.feeder_sim import (
@@ -307,6 +308,17 @@ def test_simulator_matches_the_per_meter_reference_byte_for_byte(name, monkeypat
     assert draws[1:] == ([1] * (len(draws) - 1)) and (len(draws) > 1) == (name == "redraws")
     if name == "injection clamp":
         assert (got.loads == -0.005).any()
+
+
+@pytest.mark.parametrize("workers", [2, 3, 64])
+@pytest.mark.parametrize("name", REFERENCE_SPECS)
+def test_profiles_built_in_row_parts_match_the_reference(name, workers, monkeypatch):
+    # the profiles are built in one pass; a row split forced for the graphs'
+    # distances must leave their bytes as the one-thread reference has them
+    scenarios.split_rows(monkeypatch, workers)
+    spec = REFERENCE_SPECS[name]()
+    got, want = generate_profiles(spec), reference_feeder_sim.generate_profiles(spec)
+    assert got.loads.tobytes() == want.loads.tobytes()
 
 
 def test_timestamps_are_cached_but_every_call_gets_its_own_list():
