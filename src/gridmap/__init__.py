@@ -24,7 +24,7 @@ from .cluster import (
     kmeans_pp,
 )
 from .errors import GridmapError, InputError, NumericalError
-from .feeder_sim import FeederSpec, LoadProfileSet, generate_profiles, simulate_voltages
+from .feeder_sim import FeederSpec, generate_profiles, simulate_voltages
 from .geo import EARTH_RADIUS_KM, haversine, pairwise_geo
 from .graph import (
     AUTO,

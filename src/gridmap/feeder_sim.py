@@ -15,6 +15,10 @@ The secondary is a chain by default (meters in series along one conductor)
 or a star (each meter on its own segment). All randomness comes from a
 single seed, so a spec reproduces its dataset bit for bit.
 
+``generate_profiles(spec)`` returns the (N, T) loads P. ``simulate_voltages``
+refuses loads of another shape or below the spec's -der_injection_pu, and
+voltages outside the loader's range (0, 2), so every panel it writes loads.
+
 Profiles and placements are built for all meters at once with array
 operations. The draws keep meter order and each row keeps the operation
 order of a meter-by-meter build, so the bytes are those of the loops kept
@@ -33,7 +37,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .geo import EARTH_RADIUS_KM
-from .ingest import GroundTruth, MeterDataset, TransformerSet
+from .ingest import GroundTruth, MeterDataset, TransformerSet, check_voltages
 
 SECONDARY_KINDS = ("chain", "star")
 MAX_REDRAWS = 100  # per meter, before a spec counts as unable to separate
@@ -131,8 +135,7 @@ class FeederSpec:
             raise InputError("resistances must be nonnegative")
         if self.T < 2:
             raise InputError("T must be at least 2")
-        if self.substation_voltage_pu <= 0:
-            raise InputError("substation_voltage_pu must be positive")
+        check_voltages(self.substation_voltage_pu, "substation_voltage_pu")
         if self.seed < 0:
             raise InputError(f"seed must be non-negative, got {self.seed}")
         if self.noise_std_pu < 0 or self.load_noise_pu < 0:
@@ -214,13 +217,6 @@ class FeederSpec:
         return cls.from_json_dict(d)
 
 
-@dataclass
-class LoadProfileSet:
-    loads: np.ndarray               # (N, T) per-unit active power
-    labels: np.ndarray              # (N,) transformer index per meter
-    floor: float = 0.0              # loads are bounded below by -floor
-
-
 def _rng(spec: FeederSpec, stream: int) -> np.random.Generator:
     # independent substreams so profiles, noise, and placement each depend
     # only on the seed, not on whether the other draws happened
@@ -256,8 +252,9 @@ def _draw_profiles(spec: FeederSpec, rng, n: int, amp_pu: float) -> np.ndarray:
     return loads
 
 
-def generate_profiles(spec: FeederSpec) -> LoadProfileSet:
-    """Draw one load profile per meter: base + daily sinusoid + noise.
+def generate_profiles(spec: FeederSpec) -> np.ndarray:
+    """The (N, T) per-unit loads, one profile per meter: base + daily
+    sinusoid + noise, clamped at -der_injection_pu.
 
     Amplitude and phase are drawn per meter, and all profiles are built
     in one array pass (``_draw_profiles``). If two meters on different
@@ -284,7 +281,7 @@ def generate_profiles(spec: FeederSpec) -> LoadProfileSet:
             redraws += 1
             loads[i] = _draw_profiles(spec, rng, 1, max(spec.load_amp_pu, 1e-6))[0]
 
-    return LoadProfileSet(loads=loads, labels=labels, floor=spec.der_injection_pu)
+    return loads
 
 
 def _xfmr_grid(spec: FeederSpec) -> np.ndarray:
@@ -318,39 +315,36 @@ def _grid_locations(spec: FeederSpec, rng) -> tuple[np.ndarray, np.ndarray]:
 
 
 def simulate_voltages(
-    spec: FeederSpec, loads: LoadProfileSet
+    spec: FeederSpec, loads: np.ndarray
 ) -> tuple[MeterDataset, TransformerSet, GroundTruth]:
-    """Run the linearized feeder model and package the result as a dataset."""
-    if loads.loads.shape != (spec.n_meters, spec.T):
+    """Run the linearized feeder model on the (N, T) ``loads``, checked
+    against the spec (InputError), and package the result as a dataset."""
+    loads = np.asarray(loads, dtype=float)
+    if loads.shape != (spec.n_meters, spec.T):
         raise InputError("load matrix does not match the feeder spec")
-    if np.any(loads.loads < -loads.floor - 1e-12):
-        raise InputError("loads fall below the configured injection floor")
+    if np.any(loads < -spec.der_injection_pu - 1e-12):
+        raise InputError("loads fall below the spec's injection floor, -der_injection_pu")
 
     labels = spec.labels()
     volts = np.full((spec.n_meters, spec.T), spec.substation_voltage_pu)
     start = 0
     for j, n_j in enumerate(spec.meters_per_xfmr):
-        group = loads.loads[start : start + n_j]           # (n_j, T)
+        group = loads[start : start + n_j]                 # (n_j, T)
         volts[start : start + n_j] -= spec.xfmr_impedance_pu[j] * group.sum(axis=0)
-        if spec.line_resistance_pu > 0:
-            if spec.secondary == "chain":
-                # segment s carries everything from position s to the end of
-                # the chain; meter p accumulates segments 1..p
-                suffix = np.cumsum(group[::-1], axis=0)[::-1]  # (n_j, T) downstream sums
-                volts[start : start + n_j] -= spec.line_resistance_pu * np.cumsum(
-                    suffix, axis=0
-                )
-            else:  # star
-                volts[start : start + n_j] -= spec.line_resistance_pu * group
+        # at zero resistance each drop is +-0.0, which moves no bit
+        if spec.secondary == "chain":
+            # segment s carries everything from position s to the end of
+            # the chain; meter p accumulates segments 1..p
+            suffix = np.cumsum(group[::-1], axis=0)[::-1]  # (n_j, T) downstream sums
+            volts[start : start + n_j] -= spec.line_resistance_pu * np.cumsum(suffix, axis=0)
+        else:  # star
+            volts[start : start + n_j] -= spec.line_resistance_pu * group
         start += n_j
 
     if spec.noise_std_pu > 0:
         volts = volts + _rng(spec, 1).normal(0.0, spec.noise_std_pu, size=volts.shape)
 
-    if np.any(volts <= 0.0):
-        raise NumericalError(
-            "simulated voltage dropped to zero or below; reduce loads or impedances"
-        )
+    check_voltages(volts, "simulated voltages", NumericalError)
 
     xfmr_loc, meter_loc = _grid_locations(spec, _rng(spec, 2))
     width = max(3, len(str(spec.n_meters - 1)))

@@ -182,13 +182,6 @@ def _bound(apply_l, x_tilde: np.ndarray, spectrum: np.ndarray, k: int, basis: np
     return report
 
 
-def _decompose(block: np.ndarray, m: int):
-    # the module-level name is looked up at each call, so a wrapper put on
-    # gridmap.guarantee.eigendecompose sees every component's solve
-    dec = eigendecompose(block, m)
-    return dec.eigenvalues, dec.eigenvectors
-
-
 def certify(real: SimilarityGraph, labels) -> GuaranteeReport:
     """Full report: assumption gap plus the perturbation bound, one call.
 
@@ -200,10 +193,10 @@ def certify(real: SimilarityGraph, labels) -> GuaranteeReport:
     bottom eigenvectors are all closed-form.
 
     Every measured eigenvalue is reported, but only k eigenvectors are read.
-    Each connected component of two or more meters gets one
-    ``eigendecompose`` call, for all of its eigenvalues and its bottom
+    ``by_component`` hands each connected component of two or more meters
+    to ``eigendecompose``, for all of its eigenvalues and its bottom
     min(k, size) eigenvectors, and an isolated meter contributes its
-    diagonal entry; ``by_component`` merges them. A connected Laplacian is
+    diagonal entry; it merges the pieces. A connected Laplacian is
     one component, decomposed whole, so its report has the bits of a
     whole-matrix solve; a disconnected one's measured values may move in
     the last bits against it.
@@ -218,7 +211,8 @@ def certify(real: SimilarityGraph, labels) -> GuaranteeReport:
     if k == n:
         raise InputError(f"each of the {n} meters is a group of its own: "
                          "no complementary spectrum")
-    real_values, x_tilde = by_component(l_real, k, _decompose)
+    # looked up per call, so a wrapper on guarantee.eigendecompose sees every solve
+    real_values, x_tilde = by_component(l_real, k, eigendecompose)
     spectrum = _ideal_spectrum(sizes)
 
     report = _bound(

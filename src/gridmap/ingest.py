@@ -9,7 +9,8 @@ File formats (all comma separated, one header row):
 * transformers: ``xfmr_id,lat_deg,lon_deg``
 * ground truth: ``meter_id,xfmr_id``
 
-Coordinates are degrees on disk and radians in memory. Voltages are per-unit.
+Coordinates are degrees on disk and radians in memory. Voltages are per-unit,
+strictly inside VOLTAGE_RANGE_PU, (0, 2); the simulator holds to it too.
 Missing samples are filled per meter by linear interpolation over the sample
 index, holding the nearest observed value at the ends. A meter missing more
 than 20 percent of its samples is dropped with a warning instead of imputed.
@@ -50,6 +51,7 @@ import numpy as np
 from .errors import InputError
 
 MAX_MISSING_FRACTION = 0.2
+VOLTAGE_RANGE_PU = (0.0, 2.0)  # open; every per-unit voltage, loaded or simulated
 
 # numpy's float parser strips these as whitespace; float() rejects them
 _NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
@@ -113,6 +115,13 @@ def _csv_file(path):
         raise InputError(f"cannot read {path}: {exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
         raise InputError(f"{path}: malformed CSV: {exc}") from exc
+
+
+def check_voltages(volts, what: str, error=InputError) -> None:
+    """Raise ``error`` unless every entry of ``volts`` lies strictly inside VOLTAGE_RANGE_PU."""
+    lo, hi = VOLTAGE_RANGE_PU
+    if not (np.all(volts > lo) and np.all(volts < hi)):  # NaN fails both
+        raise error(f"{what} must lie strictly inside ({lo:g}, {hi:g})")
 
 
 def _parse_float(cell: str, path, what: str) -> float:
@@ -262,8 +271,7 @@ def load_dataset(voltages_path, locations_path=None) -> MeterDataset:
 
     if len(ids) < 2:
         raise InputError("need at least 2 meters after dropping incomplete rows")
-    if not (np.all(volts > 0.0) and np.all(volts < 2.0)):
-        raise InputError("per-unit voltages must lie strictly inside (0, 2)")
+    check_voltages(volts, "per-unit voltages")
 
     locations = None
     if locations_path is not None:

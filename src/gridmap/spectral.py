@@ -27,6 +27,7 @@ and split into blocks its eigenvalues would move by a few ulp (the ideal
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -35,8 +36,7 @@ from scipy.linalg import lapack
 from .errors import InputError, NumericalError
 
 
-@dataclass
-class EigenDecomposition:
+class EigenDecomposition(NamedTuple):  # unpacks as by_component's (w, v) solver pairs
     eigenvalues: np.ndarray     # (N,) ascending
     eigenvectors: np.ndarray    # (N, k) columns, orthonormal, sign-fixed
 
@@ -221,8 +221,7 @@ def _spectrum(a, k):
 def eigendecompose(matrix: np.ndarray, k: int | None = None) -> EigenDecomposition:
     """All N eigenvalues of a symmetric matrix, ascending, and the
     eigenvectors of the k smallest (of all of them when k is None)."""
-    w, v = _eigh(matrix, k, spectrum=True)
-    return EigenDecomposition(eigenvalues=w, eigenvectors=v)
+    return EigenDecomposition(*_eigh(matrix, k, spectrum=True))
 
 
 def embed(matrix: np.ndarray, k: int) -> SpectralEmbedding:

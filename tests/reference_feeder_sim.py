@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from gridmap.errors import InputError
-from gridmap.feeder_sim import MAX_REDRAWS, LoadProfileSet, _rng, _xfmr_grid
+from gridmap.feeder_sim import MAX_REDRAWS, _rng, _xfmr_grid
 from gridmap.geo import EARTH_RADIUS_KM
 
 
@@ -23,7 +23,7 @@ def _build_profile(spec, rng, amp, phase):
     return np.maximum(p, -spec.der_injection_pu)
 
 
-def generate_profiles(spec) -> LoadProfileSet:
+def generate_profiles(spec) -> np.ndarray:
     rng = _rng(spec, 0)
     labels = spec.labels()
     n = spec.n_meters
@@ -44,7 +44,7 @@ def generate_profiles(spec) -> LoadProfileSet:
             phase = rng.uniform(0.0, 2.0 * np.pi)
             loads[i] = _build_profile(spec, rng, amp, phase)
 
-    return LoadProfileSet(loads=loads, labels=labels, floor=spec.der_injection_pu)
+    return loads
 
 
 def _grid_locations(spec, rng):

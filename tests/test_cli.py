@@ -95,6 +95,20 @@ def test_simulate_rejects_negative_resistance(tmp_path):
     assert main(["simulate", "--spec", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep-noise"])
+def test_spec_voltage_the_loader_would_refuse_exits_2(tmp_path, capsys, command):
+    # cluster refuses a panel at 2 pu or more, so simulate must not write one
+    doc = {"k": 2, "meters_per_xfmr": 3, "T": 24, "xfmr_impedance_pu": 0.003,
+           "line_resistance_pu": 0.0005, "noise_std_pu": 0.0, "seed": 0,
+           "substation_voltage_pu": 2.5}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    assert main(spec_argv(command, spec, tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert "gridmap: error: substation_voltage_pu must lie strictly inside (0, 2)" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_fails_cleanly_when_loads_cannot_separate(tmp_path, capsys):
     # every load clamps at the zero injection floor, so every profile is the
     # same and no redraw can tell the two transformers apart
@@ -281,6 +295,18 @@ def test_unknown_method_is_an_argparse_error(tmp_path):
     assert err.value.code == 2
 
 
+def test_recover_through_the_package_attribute():
+    # README's library use calls gridmap.recover, which the package takes
+    # from gridmap.cli on first use; an unknown method is bad input there too
+    spec = two_cluster_spec(0.0, seed=0)
+    data, xfmrs, truth = simulate_voltages(spec, generate_profiles(spec))
+    assert gridmap.recover is gridmap.cli.recover
+    mapping, _, _ = gridmap.recover(data, xfmrs, k=2, seed=0)
+    assert gridmap.evaluate(mapping, truth).exact_recovery
+    with pytest.raises(gridmap.InputError, match="unknown method 'bogus'"):
+        gridmap.recover(data, xfmrs, 2, method="bogus")
+
+
 @pytest.mark.parametrize("command, flag", [
     pytest.param("cluster", ["--lambda", "0.5"], id="--lambda"),
     pytest.param("cluster", ["--max-iters", "30"], id="--max-iters"),
@@ -460,8 +486,10 @@ def test_undecodable_json_input_exits_2(tmp_path, capsys, route):
         {"tol": "x", "method": "multiview"},
         {"k": "2"},
         {"sigmaa": 0.01},
+        {"method": "bogus"},
     ],
-    ids=["geo-metric", "sigma", "restarts", "lambda", "tol", "k-as-text", "unknown-key"],
+    ids=["geo-metric", "sigma", "restarts", "lambda", "tol", "k-as-text", "unknown-key",
+         "method-not-a-choice"],
 )
 def test_bad_config_values_exit_2(tmp_path, capsys, config):
     out = simulate(tmp_path, two_cluster_spec(0.0, seed=0))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from gridmap import feeder_sim
 from gridmap.errors import InputError, NumericalError
 from gridmap.feeder_sim import (
     FeederSpec,
-    LoadProfileSet,
     _grid_locations,
     _rng,
     generate_profiles,
@@ -113,33 +113,50 @@ def test_degenerate_profiles_are_resampled():
     # zero amplitude makes every meter's profile identical; the generator
     # must redraw cross-transformer duplicates or clustering is ill-posed
     spec = small_spec(load_amp_pu=0.0, noise_std_pu=0.0)
-    profiles = generate_profiles(spec)
-    labels = profiles.labels
+    loads = generate_profiles(spec)
+    labels = spec.labels()
     n = len(labels)
     for i in range(n):
         for j in range(i):
             if labels[i] != labels[j]:
-                assert not np.array_equal(profiles.loads[i], profiles.loads[j])
+                assert not np.array_equal(loads[i], loads[j])
 
 
 def test_load_floor_respected():
     spec = small_spec(load_noise_pu=0.05, der_injection_pu=0.02, noise_std_pu=0.0)
-    profiles = generate_profiles(spec)
-    assert profiles.loads.min() >= -0.02 - 1e-12
-    assert profiles.floor == 0.02
+    assert generate_profiles(spec).min() >= -0.02 - 1e-12
     # without injection capacity the floor is zero
     clean = generate_profiles(small_spec(load_noise_pu=0.05))
-    assert clean.loads.min() >= 0.0
+    assert clean.min() >= 0.0
 
 
 def test_injection_raises_voltage():
     base_spec = small_spec(noise_std_pu=0.0, load_noise_pu=0.0)
     base, _, _ = simulate_voltages(base_spec, generate_profiles(base_spec))
-    # feed the same profiles back with some generation subtracted
-    lowered = generate_profiles(base_spec)
-    lowered = LoadProfileSet(loads=lowered.loads - 0.005, labels=lowered.labels, floor=0.005)
-    boosted, _, _ = simulate_voltages(base_spec, lowered)
+    # feed the same profiles back with some generation subtracted; they
+    # stay at or above 0.005, inside the spec's floor of 0
+    boosted, _, _ = simulate_voltages(base_spec, generate_profiles(base_spec) - 0.005)
     assert np.all(boosted.voltages > base.voltages)
+
+
+def test_loads_are_checked_against_the_spec_floor():
+    # loads drawn with injection capacity dip below zero; the same spec
+    # without it refuses them, whatever spec they were drawn for
+    drawn = small_spec(load_noise_pu=0.05, der_injection_pu=0.02, noise_std_pu=0.0)
+    loads = generate_profiles(drawn)
+    assert loads.min() == -0.02
+    with pytest.raises(InputError, match="injection floor"):
+        simulate_voltages(dataclasses.replace(drawn, der_injection_pu=0.0), loads)
+
+
+def test_voltage_pushed_past_the_loader_range_is_an_error():
+    # injection through a large impedance lifts 1.95 pu to about 2.10 pu,
+    # a panel load_dataset would refuse
+    spec = FeederSpec(k=2, meters_per_xfmr=3, T=24, xfmr_impedance_pu=0.1,
+                      line_resistance_pu=0.0005, noise_std_pu=0.0, seed=0,
+                      substation_voltage_pu=1.95, base_load_pu=-0.5, der_injection_pu=0.5)
+    with pytest.raises(NumericalError, match=re.escape("must lie strictly inside (0, 2)")):
+        simulate_voltages(spec, generate_profiles(spec))
 
 
 def test_collapsed_voltage_is_an_error():
@@ -175,6 +192,14 @@ def test_scalar_impedance_broadcasts():
     (dict(meters_per_xfmr=4.0), "integers"),
     (dict(substation_voltage_pu=-1.0), "substation_voltage_pu"),
     (dict(substation_voltage_pu=0.0), "substation_voltage_pu"),
+    # the loader refuses a voltage of 2 pu or more, so the spec does too
+    (dict(substation_voltage_pu=2.0), r"substation_voltage_pu must lie strictly inside \(0, 2\)"),
+    (dict(substation_voltage_pu=2.5), r"substation_voltage_pu must lie strictly inside \(0, 2\)"),
+    (dict(xfmr_impedance_pu=[0.004]), "xfmr_impedance_pu must have one entry per transformer"),
+    (dict(der_injection_pu=-0.01), "der_injection_pu must be nonnegative"),
+    (dict(samples_per_day=0), "samples_per_day must be positive"),
+    (dict(xfmr_locations=[[0.7, -1.8]]), re.escape("xfmr_locations must be (k, 2)")),
+    (dict(meter_locations=[[0.7, -1.8]] * 6), re.escape("meter_locations must be (N, 2)")),
     (dict(origin_lat_deg=100.0), "latitude"),
     (dict(origin_lat_deg=-90.5), "latitude"),
     (dict(origin_lon_deg=180.5), "longitude"),
@@ -203,6 +228,8 @@ def test_scalar_impedance_broadcasts():
      "meter_locations must be a list of"),
 ], ids=["k0", "len-mismatch", "empty-group", "neg-line", "neg-xfmr", "short", "neg-noise", "ring",
         "fractional-count", "float-scalar-count", "neg-substation", "zero-substation",
+        "substation-at-2", "substation-above-2", "impedance-len-mismatch", "neg-injection",
+        "zero-samples-per-day", "xfmr-locations-not-k", "meter-locations-not-n",
         "lat-100", "lat-below-90", "lon-above-180", "neg-radius", "zero-spacing",
         "neg-spacing", "grid-past-180", "grid-near-pole", "meters-past-pole",
         "bool-seed", "bool-count-entry", "bool-samples-per-day", "bool-impedance-entry", "bool-k",
@@ -218,6 +245,13 @@ def test_spec_takes_numpy_and_integer_numbers():
                       xfmr_impedance_pu=[0, np.int64(1)], noise_std_pu=0, origin_lat_deg=np.int32(40))
     assert spec.meters_per_xfmr == [3, 4] and type(spec.meters_per_xfmr[0]) is int
     assert spec.xfmr_impedance_pu == [0.0, 1.0] and type(spec.xfmr_impedance_pu[1]) is float
+
+
+def test_spec_json_needs_every_required_field():
+    doc = small_spec().to_json_dict()
+    del doc["seed"]
+    with pytest.raises(InputError, match="bad feeder spec: .*seed"):
+        FeederSpec.from_json_dict(doc)
 
 
 def test_spec_json_round_trip():
@@ -295,9 +329,7 @@ def test_simulator_matches_the_per_meter_reference_byte_for_byte(name, monkeypat
 
     monkeypatch.setattr(feeder_sim, "_draw_profiles", counted)
     got, want = generate_profiles(spec), reference_feeder_sim.generate_profiles(spec)
-    assert got.loads.tobytes() == want.loads.tobytes()
-    assert got.labels.tobytes() == want.labels.tobytes()
-    assert got.floor == want.floor
+    assert got.tobytes() == want.tobytes()
     for ours, theirs in zip(
         _grid_locations(spec, _rng(spec, 2)),
         reference_feeder_sim._grid_locations(spec, _rng(spec, 2)),
@@ -307,7 +339,7 @@ def test_simulator_matches_the_per_meter_reference_byte_for_byte(name, monkeypat
     assert draws[0] == spec.n_meters
     assert draws[1:] == ([1] * (len(draws) - 1)) and (len(draws) > 1) == (name == "redraws")
     if name == "injection clamp":
-        assert (got.loads == -0.005).any()
+        assert (got == -0.005).any()
 
 
 @pytest.mark.parametrize("workers", [2, 3, 64])
@@ -318,7 +350,7 @@ def test_profiles_built_in_row_parts_match_the_reference(name, workers, monkeypa
     scenarios.split_rows(monkeypatch, workers)
     spec = REFERENCE_SPECS[name]()
     got, want = generate_profiles(spec), reference_feeder_sim.generate_profiles(spec)
-    assert got.loads.tobytes() == want.loads.tobytes()
+    assert got.tobytes() == want.tobytes()
 
 
 def test_timestamps_are_cached_but_every_call_gets_its_own_list():

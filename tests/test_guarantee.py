@@ -64,6 +64,13 @@ def test_frames_must_be_orthonormal():
         canonical_angles(np.eye(5)[:, :2], bad)
 
 
+def test_frames_must_be_tall_and_alike():
+    with pytest.raises(InputError, match="x1 must be a tall N x k matrix"):
+        canonical_angles(np.eye(5)[:2], np.eye(5)[:, :2])
+    with pytest.raises(InputError, match="subspaces must have the same shape"):
+        canonical_angles(np.eye(5)[:, :2], np.eye(5)[:, :3])
+
+
 def test_exact_subspace_has_zero_residual():
     report = tangent_bound(IDEAL_456, embed(IDEAL_456, 3).X, 3)
     assert report.residual_norm_2 <= 1e-10

@@ -189,10 +189,11 @@ def test_meter_with_too_many_gaps_is_dropped(tmp_path):
      re.escape("malformed CSV: field larger than field limit (131072)") + "$"),
     ("meter_id,t0,t1\n" + "a" * 131073 + ",1.0,1.0\nb,1.0,1.0\n",
      re.escape("malformed CSV: field larger than field limit (131072)") + "$"),
+    ("", "empty file$"),
 ], ids=["dup-id", "one-meter", "header-only", "one-sample", "ragged", "too-high", "negative",
         "inf", "garbage", "minus-inf", "nan-before-garbage", "blank-line", "extra-field",
         "whitespace-cell", "nan-beside-empty", "overflow", "numpy-only-space", "unterminated-id",
-        "long-cell", "long-id"])
+        "long-cell", "long-id", "zero-bytes"])
 def test_bad_voltage_files_rejected(tmp_path, body, message):
     path = _write(tmp_path / "v.csv", body)
     with pytest.raises(InputError, match=message):
@@ -384,6 +385,30 @@ def test_location_range_validation(tmp_path):
         load_dataset(vp, lp)
 
 
+@pytest.mark.parametrize("body,message", [
+    ("meter_id,lat_deg\na,40.0\nb,40.0\n", "expected 3 columns, got 2"),
+    ("meter_id,lat_deg,lon_deg\na,40.0,-105.0\nb,40.0\n", "row with 2 cells, expected 3"),
+    ("meter_id,lat_deg,lon_deg\na,40.0,-105.0\nb,40.0,190.0\n",
+     re.escape("longitude 190.0 out of [-180, 180] for 'b'")),
+], ids=["two-column-header", "short-row", "longitude-190"])
+def test_bad_coordinate_files_rejected(tmp_path, body, message):
+    vp = _write(tmp_path / "v.csv", "meter_id,t0,t1\na,1.0,1.0\nb,1.0,1.0\n")
+    with pytest.raises(InputError, match=message):
+        load_dataset(vp, _write(tmp_path / "l.csv", body))
+
+
+def test_transformers_file_with_only_a_header(tmp_path):
+    with pytest.raises(InputError, match="no transformers"):
+        load_transformers(_write(tmp_path / "x.csv", "xfmr_id,lat_deg,lon_deg\n"))
+
+
+def test_save_dataset_needs_locations_to_save_them(tmp_path):
+    ds = _random_dataset(0, with_locations=False)
+    with pytest.raises(InputError, match="no locations to save"):
+        save_dataset(ds, tmp_path / "v.csv", tmp_path / "l.csv")
+    assert not (tmp_path / "l.csv").exists()
+
+
 def test_load_transformers_two_rows(tmp_path):
     path = _write(
         tmp_path / "x.csv",
@@ -438,6 +463,16 @@ def test_ground_truth_empty_transformer(tmp_path):
     path = _write(tmp_path / "gt.csv", "meter_id,xfmr_id\nm0,A\nm1,A\n")
     with pytest.raises(InputError, match="no meters"):
         load_ground_truth(path, ["m0", "m1"], _two_xfmrs())
+
+
+@pytest.mark.parametrize("body,message", [
+    ("meter_id\nm0\nm1\n", "expected 2 columns, got 1"),
+    ("meter_id,xfmr_id\nm0,A\nm1\n", "row with 1 cells, expected 2"),
+    ("meter_id,xfmr_id\nm0,A\nm1,B\nm0,B\n", "duplicate meter id 'm0'"),
+], ids=["one-column-header", "short-row", "repeated-meter"])
+def test_bad_ground_truth_files_rejected(tmp_path, body, message):
+    with pytest.raises(InputError, match=message):
+        load_ground_truth(_write(tmp_path / "gt.csv", body), ["m0", "m1"], _two_xfmrs())
 
 
 def test_ground_truth_accepts_dataset_or_ids(tmp_path):

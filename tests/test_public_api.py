@@ -5,7 +5,7 @@ import gridmap
 PUBLIC = [
     "AUTO", "CanonicalAngles", "EARTH_RADIUS_KM", "EigenDecomposition", "EvalReport",
     "FeederSpec", "GridmapError", "GroundTruth", "GuaranteeReport", "InputError",
-    "KMeansResult", "LoadProfileSet", "MappingResult", "MeterDataset", "MultiViewState",
+    "KMeansResult", "MappingResult", "MeterDataset", "MultiViewState",
     "NumericalError", "SimilarityGraph", "SpectralEmbedding",
     "TransformerSet", "assign_transformers", "attach_transformers", "canonical_angles",
     "certify", "combined_laplacian", "disagreement", "eigendecompose", "embed",

@@ -144,6 +144,22 @@ def test_eigendecompose_rejects_asymmetric():
         eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_eigendecompose_rejects_a_non_square_matrix():
+    with pytest.raises(InputError, match="matrix must be square"):
+        eigendecompose(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("k", [None, 2])
+def test_eigendecomposition_unpacks_as_values_and_vectors(k):
+    # by_component's solvers return (w, v) pairs; the certificate hands it
+    # eigendecompose as one
+    a = ideal_laplacian([3, 4])
+    dec = eigendecompose(a, k)
+    w, v = dec
+    assert w.tobytes() == dec.eigenvalues.tobytes()
+    assert v.tobytes() == dec.eigenvectors.tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200])
 def test_max_asymmetry_is_the_dense_check(n):
     # the checked rows come in blocks of 64; each perturbed entry sits in the
