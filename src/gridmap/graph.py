@@ -12,23 +12,21 @@ d_ii = sum_j m_ij. Kernel underflow for far-apart nodes simply clamps the
 weight to 0.0, which is the intended behavior rather than an error; so
 does overflow of d / sigma for a subnormal width, as exp(-inf) = 0.
 
-The kernel works on the N(N-1)/2 condensed distances of the pairs i < j,
-in the row-major order of ``scipy.spatial.distance.pdist``. The division,
-square, negation and exponential all act on that one vector in place, and
-a single ``squareform`` writes the symmetric N x N matrix.
-
-Both graphs are built in the same three steps. The condensed vector is
-filled in contiguous parts of rows, one thread per CPU (``gridmap.parts``),
-balanced by pairs; a part computes blocks of at most BLOCK_ROWS rows
-against the rows after them (``cdist`` for voltages, broadcast haversine
-for locations) and keeps each row's j > i tail. Then the width is taken,
-the number given or the median distance for ``auto``. Then the kernel runs
-over the whole vector in one pass. Every distance has the bits one serial
-``pdist``, or the haversine distance of one row to the rows after it,
-gives. A part holds O(N) doubles of its own, so building a graph still
-peaks at one N x N matrix plus the condensed half, 1.5 N^2 doubles. Only
-the distances run in parts; the kernel, measured in parts on two cores,
-ran no faster than whole.
+Both graphs write their i < j distances into one N x N matrix and run
+the rest in place on it: the width, the number given or the median of
+those distances for ``auto``, then the division, square, negation and
+exponential, block of rows by block of rows on and right of each block's
+diagonal, each block mirrored below it. So the matrix is exactly
+symmetric. The voltage distances come from one matrix product of the
+column-centered rows, ||x_i - x_j||^2 = ||x_i||^2 + ||x_j||^2 - 2 x_i.x_j;
+BLAS threads it, and gridmap starts no thread of its own. Its error in
+d^2 stays within T eps (||x_i||^2 + ||x_j||^2) of the centered norms, so
+centering keeps it small next to d^2 where meters sit near one voltage.
+The location distances are the haversine distances of each row to the
+rows after it, computed in blocks of rows. A block holds O(N) doubles, so
+a graph peaks at its N x N matrix (with the centered N x T copy of the
+voltages) plus, for ``auto``, the N(N-1)/2 distances the median reorders:
+1.5 N^2 doubles.
 """
 from __future__ import annotations
 
@@ -36,13 +34,11 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, squareform
 
 from .errors import InputError
 # pairwise_geo stays imported: perfbench/tracing.py wraps it on this module
 from .geo import haversine, pairwise_geo  # noqa: F401
 from .ingest import GroundTruth, MeterDataset
-from .parts import in_row_parts
 from .spectral import max_asymmetry
 
 AUTO = "auto"
@@ -50,9 +46,6 @@ AUTO = "auto"
 SYMMETRY_TOL = 1e-12
 
 BLOCK_ROWS = 64         # rows per block of distances at most, so a block holds O(N) doubles
-# element operations (see gridmap.parts) per location pair; a voltage pair
-# costs one per sample
-HAVERSINE_COST = 128
 
 
 @dataclass
@@ -63,80 +56,120 @@ class SimilarityGraph:
 
 
 def _median_width(pairs: np.ndarray) -> float:
-    """Median of the condensed i < j distances, the default kernel width.
+    """Median of the i < j distances, the default kernel width.
 
-    Falls back to the mean positive distance when the median vanishes
-    (more than half the pairs coincide), and to 1.0 if every pair does;
-    at zero distance the kernel is 1 regardless of sigma, so any positive
-    width is equivalent there.
+    ``pairs`` is reordered. Falls back to the mean positive distance when
+    the median vanishes (more than half the pairs coincide), and to 1.0 if
+    every pair does; at zero distance the kernel is 1 regardless of sigma,
+    so any positive width is equivalent there.
     """
-    med = float(np.median(pairs))
+    med = float(np.median(pairs, overwrite_input=True))
     if med > 0.0:
         return med
     positive = pairs[pairs > 0.0]
     return float(positive.mean()) if positive.size else 1.0
 
 
-def _gaussian(pairs: np.ndarray, width: float) -> None:
+def _gaussian(d: np.ndarray, width: float) -> None:
     """exp(-(d / width)^2) in place. Far pairs underflow to 0.0 and, for
     a subnormal width, d / width overflows to inf; both are meant."""
     with np.errstate(under="ignore", over="ignore"):
-        pairs /= width
-        np.square(pairs, out=pairs)
-        np.negative(pairs, out=pairs)
-        np.exp(pairs, out=pairs)
+        d /= width
+        np.square(d, out=d)
+        np.negative(d, out=d)
+        np.exp(d, out=d)
 
 
-def _similarity(n: int, dist, pair_cost: int, sigma, kind: str) -> SimilarityGraph:
+def _similarity(n: int, distances, sigma, kind: str) -> SimilarityGraph:
     """Gaussian kernel graph over ``n`` nodes.
 
-    ``dist(a, b)`` returns the (b - a, n - a - 1) distances from rows
-    a..b-1 to rows a+1..n-1; a pair costs ``pair_cost`` element
-    operations. The build runs in three steps: the condensed distances,
-    filled in row parts (see ``gridmap.parts``); the width, ``sigma`` or
-    the median of the distances for ``auto``; the kernel, in one pass.
-    ``sigma`` is ``auto`` or a positive, finite, non-boolean real number.
+    ``distances()`` returns an (n, n) matrix whose i < j entries are the
+    distances; the others are scratch. It becomes the graph in place. The
+    width is ``sigma``, or for ``auto`` the median of those distances,
+    gathered row by row into one buffer. Then each block of rows takes the
+    kernel right of its first column, its square on the diagonal made
+    symmetric with a zero diagonal first (the kernel turns that to 1), and
+    its entries right of that square are mirrored below it, so the matrix
+    is exactly symmetric. ``sigma`` is ``auto`` or a positive, finite,
+    non-boolean real number.
     """
     if n < 2:
         raise InputError("need at least 2 meters")
     real = isinstance(sigma, numbers.Real) and not isinstance(sigma, bool)
     if not ((real and 0.0 < sigma < np.inf) or (isinstance(sigma, str) and sigma == AUTO)):
         raise InputError(f"sigma must be {AUTO!r} or a positive, finite number, got {sigma!r}")
-    i = np.arange(n)
-    start = i * n - i * (i + 1) // 2    # row i's first pair; start[-1] is the count
-    pairs = np.empty(start[-1])
-    in_row_parts(lambda r0, r1: _row_blocks(pairs, start, r0, r1, dist), start * pair_cost)
-    width = _median_width(pairs) if sigma == AUTO else float(sigma)
-    _gaussian(pairs, width)
-    m = squareform(pairs)
-    np.fill_diagonal(m, 1.0)
+    m = distances()
+    if sigma == AUTO:
+        pairs = np.empty(n * (n - 1) // 2)
+        at = 0
+        for i in range(n - 1):
+            pairs[at:at + n - 1 - i] = m[i, i + 1:]
+            at += n - 1 - i
+        width = _median_width(pairs)
+        del pairs
+    else:
+        width = float(sigma)
+    for a, b in _row_blocks(n):
+        upper = np.triu(m[a:b, a:b], 1)
+        m[a:b, a:b] = upper + upper.T
+        _gaussian(m[a:b, a:], width)
+        m[b:, a:b] = m[a:b, b:].T
     return SimilarityGraph(matrix=m, sigma=width, kind=kind)
 
 
-def _row_blocks(pairs, start, r0, r1, dist) -> None:
-    """Fill rows r0..r1-1 of the condensed vector from blocks of rows.
+def _row_blocks(n: int):
+    """Ranges (a, b) of at most BLOCK_ROWS rows covering rows 0..n-1.
 
-    Each row of a ``dist`` block keeps its j > i tail. A block holds at
-    most an eighth of the range's pairs (one row if that is more), so the
-    blocks of all parts, with their temporaries, stay within the size of
-    the condensed vector. The pairs left of a block's diagonal are
+    A block also has at most n / 16 rows (one if that is fewer), so its
+    temporaries of (b - a) x n doubles stay a small part of the N x N
+    matrix.
+    """
+    step = max(1, min(BLOCK_ROWS, n // 16))
+    return [(a, min(n, a + step)) for a in range(0, n, step)]
+
+
+def _voltage_distances(volts: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of ``volts``, i < j entries
+    of an (N, N) matrix (see ``_similarity``).
+
+    A copy of the rows has its column means removed. Then one product
+    g = x x^T gives each squared distance as (sq_i + sq_j) - 2 g_ij, with
+    sq the squared row norms, clamped at 0 against cancellation.
+    """
+    x = volts - volts.mean(axis=0)
+    sq = np.einsum("ij,ij->i", x, x)
+    d = x @ x.T
+    del x
+    for a, b in _row_blocks(len(d)):
+        block = d[a:b, a:]
+        block *= -2.0
+        block += sq[a:b, None] + sq[a:]
+        np.maximum(block, 0.0, out=block)
+        np.sqrt(block, out=block)
+    return d
+
+
+def _location_distances(points: np.ndarray) -> np.ndarray:
+    """Haversine distances (km) between the rows of ``points``, i < j
+    entries of an (N, N) matrix (see ``_similarity``).
+
+    A block of rows a..b-1 is measured against the rows after a, and each
+    row keeps its j > i tail. The pairs left of a block's diagonal are
     computed and dropped, a few percent of the work.
     """
-    n = len(start)
-    part = start[r1] - start[r0]
-    while r0 < r1:
-        r = min(r1, r0 + max(1, min(BLOCK_ROWS, part // (8 * (n - r0)))))
-        block = dist(r0, r)
-        for i in range(r0, r):
-            pairs[start[i]:start[i + 1]] = block[i - r0, i - r0:]
-        r0 = r
+    n = len(points)
+    d = np.empty((n, n))
+    for a, b in _row_blocks(n):
+        block = haversine(points[a:b, None], points[None, a + 1:])
+        for i in range(a, b):
+            d[i, i + 1:] = block[i - a, i - a:]
+    return d
 
 
 def voltage_similarity(data: MeterDataset, sigma=AUTO) -> SimilarityGraph:
     """Gaussian kernel on Euclidean distances between voltage rows."""
-    volts = np.ascontiguousarray(data.voltages, dtype=float)
-    return _similarity(len(volts), lambda a, b: cdist(volts[a:b], volts[a + 1:]),
-                       volts.shape[1], sigma, "voltage")
+    volts = np.asarray(data.voltages, dtype=float)
+    return _similarity(len(volts), lambda: _voltage_distances(volts), sigma, "voltage")
 
 
 def location_similarity(data: MeterDataset, sigma=AUTO) -> SimilarityGraph:
@@ -144,9 +177,7 @@ def location_similarity(data: MeterDataset, sigma=AUTO) -> SimilarityGraph:
     if data.locations is None:
         raise InputError("dataset has no meter locations")
     points = np.asarray(data.locations, dtype=float)
-    return _similarity(len(points),
-                       lambda a, b: haversine(points[a:b, None], points[None, a + 1:]),
-                       HAVERSINE_COST, sigma, "location")
+    return _similarity(len(points), lambda: _location_distances(points), sigma, "location")
 
 
 def ideal_graph(truth: GroundTruth) -> SimilarityGraph:

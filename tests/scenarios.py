@@ -8,7 +8,6 @@ import math
 
 import numpy as np
 
-from gridmap import parts
 from gridmap.feeder_sim import FeederSpec
 from gridmap.geo import EARTH_RADIUS_KM
 from gridmap.ingest import GroundTruth, MeterDataset, TransformerSet
@@ -186,13 +185,3 @@ def block_spectrum(sizes) -> np.ndarray:
     for n_j in sizes:
         eigs.extend([float(n_j)] * (n_j - 1))
     return np.sort(np.asarray(eigs))
-
-
-# --- row parts ------------------------------------------------------------------
-
-
-def split_rows(monkeypatch, workers: int) -> None:
-    """Make ``gridmap.parts`` split any work into ``workers`` row parts (or
-    one per row, if fewer), whatever the size and however many CPUs run."""
-    monkeypatch.setattr(parts, "PART_WORK", 1)
-    monkeypatch.setattr(parts, "_cpu_count", lambda: workers)

@@ -1,15 +1,13 @@
-import dataclasses
 import math
-import threading
 import warnings
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import pdist, squareform
 
 import scenarios
-from gridmap import graph, parts
-from gridmap.errors import InputError, NumericalError
+from gridmap import graph
+from gridmap.errors import InputError
 from gridmap.feeder_sim import generate_profiles, simulate_voltages
 from gridmap.geo import haversine
 from gridmap.graph import (
@@ -107,14 +105,47 @@ def test_median_pairwise_branches():
     assert _median_width(np.zeros(3)) == 1.0
 
 
+def pair_bound(volts):
+    """The error allowed in each squared distance: T eps (|x_i|^2 + |x_j|^2)
+    over the column-centered rows x."""
+    x = volts - volts.mean(axis=0)
+    sq = np.einsum("ij,ij->i", x, x)
+    return volts.shape[1] * np.finfo(float).eps * (sq[:, None] + sq[None, :])
+
+
+def distances_near_pdist(volts):
+    """The voltage graph's distance matrix, its i < j entries checked
+    against ``pdist``'s to ``pair_bound`` and mirrored below a zero
+    diagonal."""
+    upper = np.triu(graph._voltage_distances(volts), 1)
+    want = squareform(pdist(volts))
+    assert np.all(np.abs(upper ** 2 - np.triu(want, 1) ** 2) <= pair_bound(volts))
+    return upper + upper.T
+
+
 def test_auto_sigma_is_median_distance():
     rng = np.random.default_rng(3)
     volts = 1.0 + 0.01 * rng.standard_normal((8, 30))
     data = _dataset(volts)
     g = voltage_similarity(data, sigma=AUTO)
-    expected = float(np.median(pdist(volts)))
-    assert g.sigma == expected
+    pairs = pdist(volts)
+    # each distance moves by at most its squared bound over the distance,
+    # and the median by at most the largest of those moves
+    moves = pair_bound(volts)[np.triu_indices(8, k=1)] / pairs
+    assert abs(g.sigma - float(np.median(pairs))) <= moves.max()
     assert g.kind == "voltage"
+
+
+def test_distances_near_a_common_voltage_keep_their_digits():
+    # rows at 1 pu that differ by about 1e-7 in three groups: uncentered,
+    # |x_i|^2 is about T and the product would cancel d^2 of about T 1e-14
+    rng = np.random.default_rng(7)
+    shapes = 1e-7 * rng.standard_normal((3, 96))
+    volts = 1.0 + np.repeat(shapes, 4, axis=0) + 1e-8 * rng.standard_normal((12, 96))
+    distances_near_pdist(volts)
+    m = voltage_similarity(_dataset(volts)).matrix
+    same = np.equal.outer(np.arange(12) // 4, np.arange(12) // 4)
+    assert m[same].min() > m[~same].max()
 
 
 def test_sigma_must_be_positive():
@@ -214,18 +245,26 @@ def scenario_datasets():
 SCENARIO_DATASETS = list(scenario_datasets())
 
 
+# small panels, down to two meters
+FEW_ROW_DATASETS = [
+    (f"{n}-rows", _dataset(1.0 + 0.01 * np.random.default_rng(100 * n).standard_normal((n, 30))))
+    for n in (2, 3, 7, 40)
+]
+
+
 @pytest.mark.parametrize("sigma", [AUTO, scenarios.MANY_XFMR_SIGMA, 1e-3, 0.05])
-@pytest.mark.parametrize("name, data", SCENARIO_DATASETS)
-def test_voltage_kernel_is_the_dense_formula_bit_for_bit(name, data, sigma):
-    pairs = pdist(data.voltages)
-    d = squareform(pairs)
-    width = _median_width(pairs) if sigma == AUTO else sigma
+@pytest.mark.parametrize("name, data", SCENARIO_DATASETS + FEW_ROW_DATASETS)
+def test_voltage_kernel_is_the_formula_on_distances_near_pdist(name, data, sigma):
+    d = distances_near_pdist(data.voltages)
+    width = _median_width(d[np.triu_indices(len(d), k=1)]) if sigma == AUTO else sigma
     with np.errstate(under="ignore"):
         want = np.exp(-((d / width) ** 2))
     np.fill_diagonal(want, 1.0)
     g = voltage_similarity(data, sigma=sigma)
     assert g.sigma == width
     assert g.matrix.tobytes() == want.tobytes()
+    assert g.matrix.tobytes() == g.matrix.T.tobytes()
+    assert np.all(np.diag(g.matrix) == 1.0)
 
 
 def dense_location_kernel(locations, sigma, distance):
@@ -284,139 +323,3 @@ def test_laplacian_is_the_diagonal_formula_bit_for_bit(m):
     lap = laplacian(m)
     assert lap.tobytes() == want.tobytes()
     assert np.array_equal(np.signbit(lap), np.signbit(want))
-
-
-# --- graphs built in row parts ---------------------------------------------------
-
-
-def serial_then_split(monkeypatch, build, data, sigma, workers):
-    """The graph built in one thread, then in ``workers`` row parts."""
-    monkeypatch.setattr(parts, "_cpu_count", lambda: 1)
-    serial = build(data, sigma=sigma)
-    scenarios.split_rows(monkeypatch, workers)
-    return serial, build(data, sigma=sigma)
-
-
-@pytest.mark.parametrize("workers", [2, 5])
-@pytest.mark.parametrize("sigma", [AUTO, 0.05])
-@pytest.mark.parametrize("build", [voltage_similarity, location_similarity])
-@pytest.mark.parametrize("name, data", SCENARIO_DATASETS)
-def test_row_parts_build_the_serial_graph_bit_for_bit(monkeypatch, name, data, build, sigma,
-                                                       workers):
-    serial, split = serial_then_split(monkeypatch, build, data, sigma, workers)
-    assert split.sigma == serial.sigma
-    assert split.matrix.tobytes() == serial.matrix.tobytes()
-
-
-@pytest.mark.parametrize("workers", [2, 3, 16])
-@pytest.mark.parametrize("n", [2, 3, 7, 40])
-def test_row_parts_on_few_rows_and_many_workers(monkeypatch, n, workers):
-    rng = np.random.default_rng(100 * n + workers)
-    volts = 1.0 + 0.01 * rng.standard_normal((n, 30))
-    locs = np.radians([40.0, -105.0]) + 1e-4 * rng.standard_normal((n, 2))
-    data = _dataset(volts, locs)
-    blocks = []
-
-    def counted_cdist(a, b):
-        blocks.append(len(a))
-        return cdist(a, b)
-
-    monkeypatch.setattr(graph, "cdist", counted_cdist)
-    for build in (voltage_similarity, location_similarity):
-        for sigma in (AUTO, 0.02):
-            serial, split = serial_then_split(monkeypatch, build, data, sigma, workers)
-            assert split.matrix.tobytes() == serial.matrix.tobytes()
-    # every voltage row but the last went through exactly one cdist block per
-    # build: two widths, each built serially and split
-    assert sum(blocks) == 4 * (n - 1)
-
-
-@pytest.mark.parametrize("n, t", [(3, 1), (9, 7), (70, 96), (33, 2880), (130, 301)])
-def test_cdist_rows_are_the_condensed_pdist_rows_bit_for_bit(n, t):
-    rng = np.random.default_rng(n * t)
-    volts = 1.0 + 0.01 * rng.standard_normal((n, t))
-    want = pdist(volts)
-    start = 0
-    for height in (1, 5, 64):
-        got = []
-        for b0 in range(0, n - 1, height):
-            block = cdist(volts[b0:b0 + height], volts[b0 + 1:])
-            got += [block[i, i:] for i in range(min(height, n - 1 - b0))]
-        assert np.concatenate(got).tobytes() == want.tobytes()
-    for r0 in range(n - 1):
-        assert pdist(volts[r0:]).tobytes() == want[start:].tobytes()
-        start += n - 1 - r0
-
-
-def test_subnormal_width_clamps_silently_in_row_parts(monkeypatch):
-    # the distances run in worker threads, the kernel after them in the
-    # caller's, under the error state it sets
-    scenarios.split_rows(monkeypatch, 3)
-    locs = np.array([[0.7, -1.8], [0.7, -1.8 + 1e-5], [0.7 + 1e-5, -1.8], [0.7, -1.8 + 2e-5]])
-    data = _dataset([[1.0, 1.0], [1.01, 1.0], [1.0, 1.02], [1.03, 1.0]], locs)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        g_v = voltage_similarity(data, sigma=1e-320)
-        g_l = location_similarity(data, sigma=1e-320)
-    assert np.array_equal(g_v.matrix, np.eye(4))
-    assert np.array_equal(g_l.matrix, np.eye(4))
-
-
-def test_only_the_distances_run_in_a_pool(monkeypatch):
-    scenarios.split_rows(monkeypatch, 4)
-    pools = []
-
-    class CountedPool(parts.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(parts, "ThreadPoolExecutor", CountedPool)
-    data = SCENARIO_DATASETS[0][1]
-    for build in (voltage_similarity, location_similarity):
-        for sigma in (AUTO, 0.05):
-            del pools[:]
-            build(data, sigma=sigma)
-            assert len(pools) == 1
-    del pools[:]
-    generate_profiles(dataclasses.replace(scenarios.three_cluster_spec(), load_noise_pu=0.004))
-    assert pools == []
-
-
-@pytest.mark.parametrize("cost", [[0, 5, 10, 15, 20], [0, 0, 0, 10], [0, 10, 10, 10], [0, 1],
-                                  [0, 9, 10, 11, 12, 13]])
-@pytest.mark.parametrize("workers", [1, 2, 3, 8])
-def test_row_parts_cover_every_row_once(monkeypatch, cost, workers):
-    scenarios.split_rows(monkeypatch, workers)
-    seen = []
-    parts.in_row_parts(lambda r0, r1: seen.append((r0, r1)), np.array(cost))
-    seen.sort()
-    assert seen[0][0] == 0 and seen[-1][1] == len(cost) - 1
-    assert all(r0 < r1 for r0, r1 in seen)
-    assert all(a[1] == b[0] for a, b in zip(seen, seen[1:]))
-    assert len(seen) <= workers
-
-
-@pytest.mark.parametrize("error", [InputError, NumericalError])
-def test_an_error_in_a_worker_part_surfaces_and_no_thread_outlives_it(monkeypatch, error):
-    scenarios.split_rows(monkeypatch, 4)
-    before = threading.active_count()
-
-    def cdist_failing_off_the_main_thread(a, b):
-        if threading.current_thread() is not threading.main_thread():
-            raise error("block failed")
-        return cdist(a, b)
-
-    monkeypatch.setattr(graph, "cdist", cdist_failing_off_the_main_thread)
-    with pytest.raises(error, match="block failed"):
-        voltage_similarity(SCENARIO_DATASETS[0][1], sigma=0.05)
-    assert threading.active_count() == before
-
-    # of two failing parts, the earlier one's error surfaces, as in one thread
-    def work(r0, r1):
-        if r0 > 0:
-            raise error(f"part from row {r0}")
-
-    with pytest.raises(error, match="part from row 3$"):
-        parts.in_row_parts(work, np.arange(13))
-    assert threading.active_count() == before
