@@ -18,6 +18,7 @@ import pytest
 
 import gridmap
 import gridmap.cli
+import gridmap.graph
 import gridmap.multiview
 import gridmap.spectral
 import reference_kmeans
@@ -231,6 +232,29 @@ def test_block_solve_writes_the_outputs_of_the_dense_solve(tmp_path, monkeypatch
     assert len(labelled) == 3 and min(labelled) > 1  # cluster, then 2 trials
     monkeypatch.setattr(gridmap.spectral, "_components", one_block)
     assert run(tmp_path / "whole") == split
+
+
+def test_block_height_changes_no_output_byte_and_starts_no_thread(tmp_path, monkeypatch):
+    # 120 meters, so the graphs take blocks of 7 rows
+    spec = many_xfmr_spec()
+    spec_path = write_spec(tmp_path / "spec.json", spec)
+    assert len(gridmap.graph._row_blocks(120)) == 18
+
+    def run(sub):
+        out = tmp_path / sub
+        assert main(["simulate", "--spec", spec_path, "--out", str(out)]) == 0
+        assert main(cluster_args(out, k=spec.k, method="multiview", seed=4, out=out)) == 0
+        assert main(["sweep-noise", "--spec", spec_path, "--noise-grid", "0,1e-4",
+                     "--trials", "2", "--out", str(out)]) == 0
+        return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+    before = threading.active_count()
+    blocked = run("blocked")
+    # one row a block: the graphs' bytes, and so every output, stay
+    monkeypatch.setattr(gridmap.graph, "BLOCK_ROWS", 1)
+    assert len(gridmap.graph._row_blocks(120)) == 120
+    assert run("rows") == blocked
+    assert threading.active_count() == before
 
 
 def test_cluster_without_k_fails(tmp_path):

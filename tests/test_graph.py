@@ -323,3 +323,87 @@ def test_laplacian_is_the_diagonal_formula_bit_for_bit(m):
     lap = laplacian(m)
     assert lap.tobytes() == want.tobytes()
     assert np.array_equal(np.signbit(lap), np.signbit(want))
+
+
+# --- rows in blocks ----------------------------------------------------------------
+
+
+def fixed_blocks(heights):
+    """A stand-in for ``graph._row_blocks`` that cuts the rows into blocks of
+    the given heights, cycled, the last block cut short."""
+    def blocks(n):
+        out, a, i = [], 0, 0
+        while a < n:
+            b = min(n, a + heights[i % len(heights)])
+            out.append((a, b))
+            a, i = b, i + 1
+        return out
+    return blocks
+
+
+@pytest.mark.parametrize("heights", [[1], [1, 2, 3, 5]], ids=["single-rows", "uneven"])
+@pytest.mark.parametrize("sigma", [AUTO, 0.05])
+@pytest.mark.parametrize("build", [voltage_similarity, location_similarity])
+@pytest.mark.parametrize("name, data", SCENARIO_DATASETS)
+def test_graph_bytes_do_not_depend_on_the_row_blocks(monkeypatch, name, data, build, sigma,
+                                                      heights):
+    # every step after the product is per entry, and each pair is measured
+    # once right of the diagonal, so the blocks may not move a bit
+    monkeypatch.setattr(graph, "_row_blocks", lambda n: [(0, n)])
+    whole = build(data, sigma=sigma)
+    monkeypatch.setattr(graph, "_row_blocks", fixed_blocks(heights))
+    split = build(data, sigma=sigma)
+    assert split.sigma == whole.sigma
+    assert split.matrix.tobytes() == whole.matrix.tobytes()
+    assert split.matrix.tobytes() == split.matrix.T.tobytes()
+
+
+@pytest.mark.parametrize("block_rows", [1, 5, graph.BLOCK_ROWS])
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 33, 100, 1024, 1025, 4000])
+def test_row_blocks_cover_every_row_once(monkeypatch, n, block_rows):
+    monkeypatch.setattr(graph, "BLOCK_ROWS", block_rows)
+    blocks = graph._row_blocks(n)
+    assert blocks[0][0] == 0 and blocks[-1][1] == n
+    assert all(a < b for a, b in blocks)
+    assert all(p[1] == q[0] for p, q in zip(blocks, blocks[1:]))
+    # a block holds at most BLOCK_ROWS rows, and at most n / 16 unless one
+    assert max(b - a for a, b in blocks) <= min(block_rows, max(1, n // 16))
+
+
+# small panels with coordinates, down to two meters
+FEW_ROW_LOCATED = [
+    (f"{n}-rows", np.radians([40.0, -105.0]) + 1e-4 * np.random.default_rng(100 * n + 1)
+     .standard_normal((n, 2)))
+    for n in (2, 3, 7, 40)
+]
+
+
+@pytest.mark.parametrize("block_rows", [1, graph.BLOCK_ROWS])
+@pytest.mark.parametrize("sigma", [AUTO, 0.3])
+@pytest.mark.parametrize("name, pts", FEW_ROW_LOCATED)
+def test_location_kernel_on_few_rows_is_the_row_by_row_haversine(monkeypatch, name, pts, sigma,
+                                                                  block_rows):
+    monkeypatch.setattr(graph, "BLOCK_ROWS", block_rows)
+    rows = np.concatenate([haversine(pts[i], pts[i + 1:]) for i in range(len(pts) - 1)])
+    width = _median_width(rows.copy()) if sigma == AUTO else sigma
+    with np.errstate(under="ignore"):
+        want = squareform(np.exp(-np.square(rows / width)))
+    np.fill_diagonal(want, 1.0)
+    g = location_similarity(_dataset(np.ones((len(pts), 2)), pts), sigma=sigma)
+    assert g.sigma == width
+    assert g.matrix.tobytes() == want.tobytes()
+    assert g.matrix.tobytes() == g.matrix.T.tobytes()
+
+
+@pytest.mark.parametrize("spread", [1e-7, 1e-4, 1e-2])
+@pytest.mark.parametrize("level", [0.9, 1.0, 1.1, 230.0])
+def test_distances_near_any_common_voltage_keep_their_digits(level, spread):
+    # three groups of rows around one level, the centered product's error
+    # bounded against pdist whatever the level and the spread
+    rng = np.random.default_rng(11)
+    shapes = spread * rng.standard_normal((3, 96))
+    volts = level + np.repeat(shapes, 4, axis=0) + 0.1 * spread * rng.standard_normal((12, 96))
+    distances_near_pdist(volts)
+    m = voltage_similarity(_dataset(volts)).matrix
+    same = np.equal.outer(np.arange(12) // 4, np.arange(12) // 4)
+    assert m[same].min() > m[~same].max()

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from gridmap.cli import recover
+from gridmap import graph
 from gridmap.feeder_sim import FeederSpec, generate_profiles, simulate_voltages
 from gridmap.graph import location_similarity, voltage_similarity
 
@@ -57,6 +58,18 @@ def test_graph_peaks_at_one_and_a_half_matrices(feeder, build, sigma):
     data, _, _ = feeder
     n = data.n_meters
     assert n == 400
+    assert traced_peak(lambda: build(data, sigma=sigma)) <= GRAPH_BOUND * n * n * 8
+
+
+@pytest.mark.parametrize("build", [voltage_similarity, location_similarity])
+@pytest.mark.parametrize("sigma", ["auto", 0.3])
+def test_graph_peak_holds_with_unbounded_block_rows(feeder, build, sigma, monkeypatch):
+    # blocks of n / 16 rows at most keep their temporaries small, whatever
+    # BLOCK_ROWS allows
+    monkeypatch.setattr(graph, "BLOCK_ROWS", 10 ** 9)
+    data, _, _ = feeder
+    n = data.n_meters
+    assert graph._row_blocks(n)[0] == (0, n // 16)
     assert traced_peak(lambda: build(data, sigma=sigma)) <= GRAPH_BOUND * n * n * 8
 
 
