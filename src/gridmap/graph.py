@@ -45,6 +45,8 @@ AUTO = "auto"
 
 SYMMETRY_TOL = 1e-12
 
+UNDERFLOW = -745.2      # below ln(2^-1075) = -745.1332..., where exp rounds to +0.0
+
 BLOCK_ROWS = 64         # rows per block of distances at most, so a block holds O(N) doubles
 
 
@@ -72,12 +74,20 @@ def _median_width(pairs: np.ndarray) -> float:
 
 def _gaussian(d: np.ndarray, width: float) -> None:
     """exp(-(d / width)^2) in place. Far pairs underflow to 0.0 and, for
-    a subnormal width, d / width overflows to inf; both are meant."""
+    a subnormal width, d / width overflows to inf; both are meant.
+
+    An exponent below UNDERFLOW gives exactly +0.0, so those entries are
+    set, not exponentiated: exp costs many times more per element where
+    its result underflows, and at the benchmark feeders' fixed widths most
+    pairs do.
+    """
     with np.errstate(under="ignore", over="ignore"):
         d /= width
         np.square(d, out=d)
         np.negative(d, out=d)
-        np.exp(d, out=d)
+        far = d < UNDERFLOW
+        np.exp(d, out=d, where=~far)
+        np.copyto(d, 0.0, where=far)
 
 
 def _similarity(n: int, distances, sigma, kind: str) -> SimilarityGraph:

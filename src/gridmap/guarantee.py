@@ -194,12 +194,15 @@ def certify(real: SimilarityGraph, labels) -> GuaranteeReport:
 
     Every measured eigenvalue is reported, but only k eigenvectors are read.
     ``by_component`` hands each connected component of two or more meters
-    to ``eigendecompose``, for all of its eigenvalues and its bottom
-    min(k, size) eigenvectors, and an isolated meter contributes its
-    diagonal entry; it merges the pieces. A connected Laplacian is
-    one component, decomposed whole, so its report has the bits of a
-    whole-matrix solve; a disconnected one's measured values may move in
-    the last bits against it.
+    to ``eigendecompose``, for all of its eigenvalues and the bottom
+    eigenvectors of its share of the k, capped at min(k, size,
+    max(2, k - B + 2)) with B components and isolated meters in all, and an
+    isolated meter contributes its diagonal entry; it merges the pieces. In
+    a Laplacian a component's share stays below that cap; a component
+    whose share reached it would be decomposed again for min(k, size). A
+    connected Laplacian is one component, decomposed whole, so its report
+    has the bits of a whole-matrix solve; a disconnected one's measured
+    values may move in the last bits against it.
     """
     l_real = laplacian(real)
     n = l_real.shape[0]

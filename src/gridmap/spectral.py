@@ -17,12 +17,15 @@ component, and its eigenpairs are the union of the blocks' eigenpairs.
 matrix's nonzero mask, solves them one by one with a solver it is handed
 and merges the pieces, which is exact and costs the sum of the blocks'
 cubes instead of N cubed; a connected matrix is the one-block case and
-goes to the solver whole, uncopied. ``embed`` hands it the bottom-k
-solve, and the certificate hands it ``eigendecompose`` to get every
-measured eigenvalue. ``eigendecompose`` itself always solves the matrix it
-is given whole: it is the dense oracle the certificate is tested against,
-and split into blocks its eigenvalues would move by a few ulp (the ideal
-[4, 30, 6] Laplacian's 4.0 becomes 4 - 4 ulp).
+goes to the solver whole, uncopied. Each block of a split matrix is asked
+only for about its share of the k bottom eigenvectors, k - B + 2 of them
+with B blocks and isolated nodes in all, and solved again for all it
+could hold where that share might run past them. ``embed`` hands it the
+bottom-k solve, and the certificate hands it ``eigendecompose`` to get
+every measured eigenvalue. ``eigendecompose`` itself always solves the
+matrix it is given whole: it is the dense oracle the certificate is tested
+against, and split into blocks its eigenvalues would move by a few ulp
+(the ideal [4, 30, 6] Laplacian's 4.0 becomes 4 - 4 ulp).
 """
 from __future__ import annotations
 
@@ -111,36 +114,60 @@ def by_component(a, k, solve):
     The matrix is block diagonal under a permutation, so its eigenpairs are
     the union of the blocks'. ``solve(block, m)`` returns a block's
     ascending eigenvalues, at least m of them, and the eigenvectors of the
-    first m, where m = min(k, block size); the k smallest eigenvalues of the
-    whole lie among those. An isolated node i contributes a_ii with the unit
-    vector e_i. One stable sort by (eigenvalue, the component's lowest node)
-    merges every value returned, ascending; among tied eigenvalues of one
-    block the solver's order is kept, so each block's share of the bottom k
-    is a prefix of its values and its vectors land in their columns. A block
-    that holds every node is ``a`` itself, not a copy; its values come out
-    in the solver's order and its vectors in their own columns, so a
-    connected matrix gets the bits of one whole-matrix solve.
+    first m. An isolated node i contributes a_ii with the unit vector e_i.
+    One stable sort by (eigenvalue, the component's lowest node) merges
+    every value returned, ascending; among tied eigenvalues of one block the
+    solver's order is kept, so each block's share of the bottom k is a
+    prefix of its values and its vectors land in their columns.
+
+    With B blocks and isolated nodes in all, block j is asked for
+    m = min(k, size, max(2, k - B + 2)) pairs. In a Laplacian every other
+    block and isolated node holds a value no larger than block j's second,
+    so block j's share of the bottom k is at most k - B + 1, and its m-th
+    value, the one pair more, is a witness that lies outside it. Where a
+    block's share reaches its m with more than m pairs left to ask for, its
+    unreturned values could belong in the bottom k, as they can in any
+    symmetric input: it is solved again for min(k, size) pairs and the
+    values merged again. A re-solved block's added values can only push
+    other blocks' values out of the bottom k, so one round settles the
+    merge but for ties moved by rounding; it repeats while any block's share
+    reaches its m, and ends, since no block is solved again twice.
+
+    A block that holds every node is ``a`` itself, not a copy, solved for
+    min(k, size) pairs; its values come out in the solver's order and its
+    vectors in their own columns, so a connected matrix gets the bits of
+    one whole-matrix solve.
     """
     blocks, isolated = _components(a)
     n = a.shape[0]
-    values, firsts, vectors = [], [], []
-    for nodes in blocks:
-        w, v = solve(a if nodes.size == n else a[np.ix_(nodes, nodes)], min(k, nodes.size))
-        values.append(w)
-        firsts.append(np.full(w.size, nodes[0]))
-        vectors.append(v)
+    cap = max(2, k - len(blocks) - isolated.size + 2)
+
+    def block_solve(nodes, m):
+        return solve(a if nodes.size == n else a[np.ix_(nodes, nodes)], m)
+
+    pieces = [block_solve(nodes, min(k, nodes.size, cap)) for nodes in blocks]
     # no solve for an isolated node: a kernel narrow for the noise isolates
     # every meter (all 591 in a noise-1e-4 trial of the benchmark's multiview
     # sweep), where a 1 x 1 solve each took the embedding from 0.3 to 13 ms
-    values.append(a[isolated, isolated])
-    firsts.append(isolated)
-    merged = np.concatenate(values)
-    order = np.lexsort((np.concatenate(firsts), merged))
+    lowest = np.array([nodes[0] for nodes in blocks], dtype=np.intp)
+    while True:
+        values = [w for w, _ in pieces] + [a[isolated, isolated]]
+        counts = [w.size for w in values]
+        owner = np.repeat(np.arange(len(values)), counts)
+        merged = np.concatenate(values)
+        order = np.lexsort((np.concatenate([np.repeat(lowest, counts[:-1]), isolated]), merged))
+        shares = np.bincount(owner[order[:k]], minlength=len(values))
+        short = [j for j, (nodes, (_, v)) in enumerate(zip(blocks, pieces))
+                 if v.shape[1] < min(k, nodes.size) and shares[j] >= v.shape[1]]
+        if not short:
+            break
+        for j in short:
+            pieces[j] = block_solve(blocks[j], min(k, blocks[j].size))
     column = np.full(order.size, -1)
     column[order[:k]] = np.arange(k)
     x = np.zeros((n, k))
     start = 0
-    for nodes, w, v in zip(blocks, values, vectors):
+    for nodes, (w, v) in zip(blocks, pieces):
         # a block's vectors belong to its first values; the next block's
         # values start after all of this block's, not after its vectors
         cols = column[start:start + v.shape[1]]
@@ -164,7 +191,8 @@ def _eigh(matrix, k=None, spectrum=False):
     The bottom-k mode returns only those k eigenvalues, from the relatively
     robust representations driver, which stops after the requested
     eigenpairs. It solves the matrix one connected component at a time
-    (``by_component``); a connected matrix is one block, solved whole.
+    (``by_component``), each block for no more pairs than its share of the
+    bottom k can need; a connected matrix is one block, solved whole.
     Where the k-th and (k+1)-th eigenvalues tie, as when there are more than
     k components, the bottom-k eigenspace is not unique and the block merge
     order picks one basis of it, where a whole-matrix solve would pick
@@ -202,19 +230,27 @@ def _eigh(matrix, k=None, spectrum=False):
 
 
 def _spectrum(a, k):
+    """All eigenvalues of a symmetric matrix and the eigenvectors of its k
+    smallest: ``dsytrd``, then ``dsterf``, ``dstebz`` and ``dstein`` on the
+    tridiagonal matrix, as scipy's ``eigvalsh_tridiagonal`` and
+    ``eigh_tridiagonal`` run them, without their per-call checks."""
     n = a.shape[0]
+    if n == 1:
+        return a[0].copy(), np.ones((1, 1))
     lwork, _ = lapack.dsytrd_lwork(n, lower=1)
     c, d, e, tau, _ = lapack.dsytrd(a, lower=1, lwork=int(lwork))
-    w = scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="sterf", check_finite=False)
-    _, z = scipy.linalg.eigh_tridiagonal(
-        d, e, select="i", select_range=(0, k - 1), lapack_driver="stebz", check_finite=False
-    )
-    if n > 1:
-        # scipy wraps no dormtr, but with lower=1, Q = diag(1, Q1), and Q1 is
-        # the QR factor whose reflectors dsytrd left below the subdiagonal
-        q1, rest = np.asfortranarray(c[1:, :-1]), z[1:]  # copied once, not per call
-        lwork = lapack.dormqr("L", "N", q1, tau, rest, -1)[1][0]
-        z[1:] = lapack.dormqr("L", "N", q1, tau, rest, int(lwork))[0]
+    w, sterf_info = lapack.dsterf(d, e)
+    m, bisected, iblock, isplit, stebz_info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, k, 0.0, "B")
+    z, stein_info = lapack.dstein(d, e, bisected[:m], iblock, isplit)
+    if sterf_info or stebz_info or stein_info:
+        raise np.linalg.LinAlgError("tridiagonal solve failed (LAPACK info: dsterf "
+                                    f"{sterf_info}, dstebz {stebz_info}, dstein {stein_info})")
+    z = z[:, np.argsort(bisected[:m])]  # dstebz orders by split block
+    # scipy wraps no dormtr, but with lower=1, Q = diag(1, Q1), and Q1 is
+    # the QR factor whose reflectors dsytrd left below the subdiagonal
+    q1, rest = np.asfortranarray(c[1:, :-1]), z[1:]  # copied once, not per call
+    lwork = lapack.dormqr("L", "N", q1, tau, rest, -1)[1][0]
+    z[1:] = lapack.dormqr("L", "N", q1, tau, rest, int(lwork))[0]
     return w, z
 
 

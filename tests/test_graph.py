@@ -230,6 +230,29 @@ def test_subnormal_width_clamps_silently():
     assert np.array_equal(g_l.matrix, np.eye(3))
 
 
+def test_gaussian_sets_underflowing_pairs_to_plain_exp_bit_for_bit():
+    # exponents straddling graph.UNDERFLOW and the last subnormal result
+    # (exp(-745.1332) is the smallest subnormal, exp(-745.2) is 0.0), -inf
+    # as a subnormal width gives it, and 0
+    cut = np.array([-746.0, -745.2, -745.1332, -744.4, -708.4])
+    near = np.sqrt(-cut)[:, None] * (1.0 + np.linspace(-1e-4, 1e-4, 201))
+    d = np.concatenate([np.sqrt(-cut), near.ravel(), [np.inf, 0.0]])
+    with np.errstate(under="ignore", over="ignore"):
+        for width in (1.0, 0.7, 1e-320):
+            want = np.exp(-((d / width) ** 2))
+            got = d.copy()
+            graph._gaussian(got, width)
+            assert got.tobytes() == want.tobytes()
+            # a block of rows right of its first column, as _similarity hands it
+            square = np.tile(d[:40], (40, 1))
+            got = square.copy()
+            graph._gaussian(got[8:16, 8:], width)
+            want = square.copy()
+            want[8:16, 8:] = np.exp(-((square[8:16, 8:] / width) ** 2))
+            assert got.tobytes() == want.tobytes()
+    assert 0.0 < np.exp(-745.1332) and np.exp(graph.UNDERFLOW) == 0.0
+
+
 def scenario_datasets():
     specs = {
         "three-cluster": scenarios.three_cluster_spec(noise=1e-4, seed=1),

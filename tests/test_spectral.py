@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg import lapack
 from scipy.sparse.csgraph import connected_components
 
 import gridmap.spectral
 import scenarios
 from gridmap.errors import InputError, NumericalError
 from gridmap.feeder_sim import generate_profiles, simulate_voltages
-from gridmap.graph import ideal_graph, laplacian, location_similarity, voltage_similarity
+from gridmap.graph import AUTO, ideal_graph, laplacian, location_similarity, voltage_similarity
 from gridmap.guarantee import canonical_angles
 from gridmap.multiview import combined_laplacian
 from gridmap.spectral import (
     _components,
     _eigh,
+    by_component,
     eigendecompose,
     embed,
     fix_signs,
@@ -436,3 +438,165 @@ def named_component_cases():
 @pytest.mark.parametrize("name, a", list(named_component_cases()))
 def test_components_match_csgraph_on_named_cases(name, a):
     assert_components_match_csgraph(a)
+
+
+# --- the tridiagonal route of the spectrum mode --------------------------------
+
+def wrapped_spectrum(a, k):
+    """The spectrum mode through scipy's tridiagonal wrappers, the formulation
+    ``_spectrum`` calls LAPACK in place of."""
+    n = a.shape[0]
+    lwork, _ = lapack.dsytrd_lwork(n, lower=1)
+    c, d, e, tau, _ = lapack.dsytrd(a, lower=1, lwork=int(lwork))
+    w = scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="sterf", check_finite=False)
+    _, z = scipy.linalg.eigh_tridiagonal(
+        d, e, select="i", select_range=(0, k - 1), lapack_driver="stebz", check_finite=False
+    )
+    if n > 1:
+        q1, rest = np.asfortranarray(c[1:, :-1]), z[1:]
+        lwork = lapack.dormqr("L", "N", q1, tau, rest, -1)[1][0]
+        z[1:] = lapack.dormqr("L", "N", q1, tau, rest, int(lwork))[0]
+    return w, z
+
+
+def spectrum_cases():
+    specs = {
+        "three-cluster": (scenarios.three_cluster_spec(noise=1e-4, seed=1), AUTO),
+        "two-cluster": (scenarios.two_cluster_spec(noise=5e-4, seed=2), AUTO),
+        "many-xfmr": (scenarios.many_xfmr_spec(), scenarios.MANY_XFMR_SIGMA),
+        "shrunken-gap": (scenarios.shrunken_gap_spec(seed=0), AUTO),
+    }
+    for name, (spec, sigma) in specs.items():
+        data, _, _ = simulate_voltages(spec, generate_profiles(spec))
+        yield name, laplacian(voltage_similarity(data, sigma=sigma))
+    data, _, _ = scenarios.two_site_case(seed=0)
+    yield "two-site", laplacian(voltage_similarity(data, sigma=scenarios.TWO_SITE_SIGMA))
+    yield "ideal-4-30-6", ideal_laplacian([4, 30, 6])
+    yield "one", np.array([[3.0]])
+
+
+@pytest.mark.parametrize("name, a", list(spectrum_cases()))
+def test_spectrum_is_the_scipy_wrapper_route_bit_for_bit(name, a):
+    n = a.shape[0]
+    for k in sorted({1, min(4, n), n}):
+        w, z = gridmap.spectral._spectrum(a, k)
+        want_w, want_z = wrapped_spectrum(a, k)
+        assert w.tobytes() == want_w.tobytes() and z.tobytes() == want_z.tobytes()
+    if name == "ideal-4-30-6":
+        assert w[3] == 4.0  # criterion 7's exact value
+
+
+def test_a_failed_tridiagonal_solve_is_a_numerical_error(monkeypatch):
+    # a vector inverse iteration did not converge: LAPACK info 1
+    dstein = lapack.dstein
+    monkeypatch.setattr(lapack, "dstein", lambda *args: (dstein(*args)[0], 1))
+    with pytest.raises(NumericalError, match="dstein 1"):
+        eigendecompose(ideal_laplacian([3, 4]), 2)
+
+
+# --- the capped block solve --------------------------------------------------
+
+def counted(solve, calls):
+    def counting(block, m):
+        calls.append(m)
+        return solve(block, m)
+    return counting
+
+
+def uncapped(solve, k):
+    # each block asked for min(k, size) pairs, as the merge did before the
+    # cap; a block with that many vectors is never solved again
+    return lambda block, m: solve(block, min(k, block.shape[0]))
+
+
+def shifted_laplacian(rng, sizes, shift):
+    """Complete-graph Laplacians with weights in [0.1, 1], block j shifted by
+    j * shift, then permuted. Every block's second eigenvalue, at least 0.2,
+    stays above every block's first while (blocks - 1) * shift < 0.2, so
+    the cap's argument holds, and a shift splits the ties at zero that
+    would leave the bottom-k eigenspace not unique."""
+    blocks = []
+    for j, m in enumerate(sizes):
+        w = np.triu(rng.uniform(0.1, 1.0, (m, m)), 1)
+        w = w + w.T
+        blocks.append(np.diag(w.sum(axis=1)) - w + j * shift * np.eye(m))
+    perm = rng.permutation(sum(sizes))
+    return scipy.linalg.block_diag(*blocks)[np.ix_(perm, perm)]
+
+
+def block_supported_indefinite(rng, sizes, columns, lam):
+    """L - lam H H' with L block diagonal and each column of the orthonormal
+    H inside one block, as a disconnected location graph's embedding is:
+    the product keeps the blocks, and the matrix is indefinite. The block
+    of ``sizes[j]`` nodes holds ``columns[j]`` of H's columns."""
+    a = shifted_laplacian(rng, sizes, 0.0)
+    blocks, _ = _components(a)
+    h = []
+    for m, c in zip(sizes, columns):
+        nodes = next(b for b in blocks if b.size == m)
+        h.append(np.zeros((a.shape[0], c)))
+        h[-1][nodes] = random_orthonormal(rng, m, c)
+    h = np.hstack(h)
+    return a - lam * h @ h.T
+
+
+def cap_cases():
+    # (name, block sizes with 1 for an isolated node, k); B counts both
+    for name, sizes, k in (
+        ("B<k", [6, 9, 4, 7], 10),
+        ("B<k-isolated", [6, 1, 9, 1, 5], 9),
+        ("B=k", [5, 8, 3, 6, 4], 5),
+        ("B=k+1", [5, 8, 3, 6, 4, 7], 5),
+        ("B>k+1", [4, 6, 3, 5, 1, 7, 2, 1], 3),
+    ):
+        yield name, sizes, k, shifted_laplacian(np.random.default_rng(len(sizes) * k), sizes, 0.01)
+    # the 9-node block holds 6 of the 7 negative eigenvalues, more than the
+    # cap of 5 that a Laplacian's blocks could not reach: it is solved again
+    rng = np.random.default_rng(17)
+    yield "indefinite", [8, 6, 9, 5], 7, block_supported_indefinite(rng, [8, 6, 9, 5],
+                                                                    [1, 0, 6, 0], 20.0)
+
+
+def projector(x):
+    return x @ x.T
+
+
+@pytest.mark.parametrize("name, sizes, k, a", list(cap_cases()))
+@pytest.mark.parametrize("mode", ["spectrum", "bottom"])
+def test_capped_blocks_match_the_uncapped_solve(name, sizes, k, a, mode):
+    solve = eigendecompose if mode == "spectrum" else gridmap.spectral._bottom
+    blocks, isolated = _components(a)
+    assert sorted([b.size for b in blocks] + [1] * isolated.size) == sorted(sizes)
+    calls = []
+    w, x = by_component(a, k, counted(solve, calls))
+    want_w, want_x = by_component(a, k, uncapped(solve, k))
+    if mode == "spectrum":
+        assert w.tobytes() == want_w.tobytes()
+    else:
+        scale = np.abs(a).max()
+        assert np.max(np.abs(w[:k] - want_w[:k])) <= 1e-12 * scale
+    assert np.max(np.abs(projector(x) - projector(want_x))) <= 1e-12
+    cap = max(2, k - len(sizes) + 2)
+    assert calls[:len(blocks)] == [min(k, b.size, cap) for b in blocks]
+    resolves = 1 if name == "indefinite" else 0  # no witness enters a Laplacian
+    assert len(calls) == len(blocks) + resolves
+
+
+@pytest.mark.parametrize("mode", ["spectrum", "bottom"])
+def test_a_block_that_takes_every_slot_is_solved_again_once(mode):
+    # the 9-node block, shifted below the rest, holds the k smallest values,
+    # its witness among them: one more solve, for min(k, size) pairs
+    sizes, k = [9, 4, 5, 6, 3], 6
+    a = shifted_laplacian(np.random.default_rng(18), sizes, 0.01)
+    blocks, _ = _components(a)
+    big = next(j for j, b in enumerate(blocks) if b.size == 9)
+    a[blocks[big], blocks[big]] -= 50.0  # its diagonal, below every other value
+    solve = eigendecompose if mode == "spectrum" else gridmap.spectral._bottom
+    calls = []
+    w, x = by_component(a, k, counted(solve, calls))
+    cap = max(2, k - len(blocks) + 2)
+    assert calls == [min(k, b.size, cap) for b in blocks] + [k]
+    want_w, want_x = by_component(a, k, uncapped(solve, k))
+    assert np.max(np.abs(w[:k] - want_w[:k])) <= 1e-12 * np.abs(a).max()
+    assert np.max(np.abs(projector(x) - projector(want_x))) <= 1e-12
+    assert np.all(x[np.setdiff1d(np.arange(a.shape[0]), blocks[big])] == 0.0)
