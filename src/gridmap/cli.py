@@ -173,23 +173,26 @@ def recover(data, xfmrs, k, method="spectral", sigma=AUTO, seed=0, sigma_l=AUTO,
     (relative), and ``kmeans-baseline`` clusters the raw voltage rows.
     Location distances are haversine. Every method ends in k-means++
     (``gridmap.cluster.RESTARTS`` restarts) and the geographic match of
-    clusters to transformers. Returns the mapping, the embedding and the
-    voltage graph; the baseline builds neither (None).
+    clusters to transformers. Returns the mapping and the embedding; the
+    baseline has none (None).
+
+    Each graph is read once, so its Laplacian is formed in its matrix and
+    the eigensolver works in that: one N x N array per graph.
     """
-    g_v = emb = None
+    emb = None
     if method == "kmeans-baseline":
         km = kmeans_pp(data.voltages, k, seed=seed)
     elif method == "spectral":
         g_v = voltage_similarity(data, sigma=sigma)
-        emb = embed(laplacian(g_v), k)
+        emb = embed(laplacian(g_v, overwrite_graph=True), k, overwrite_a=True)
         km = kmeans_pp(emb.X, k, seed=seed)
     elif method == "multiview":
         g_v = voltage_similarity(data, sigma=sigma)
         g_l = location_similarity(data, sigma=sigma_l)
-        emb, km, _ = solve_multiview(g_v, g_l, k, seed=seed, tol=tol)
+        emb, km, _ = solve_multiview(g_v, g_l, k, seed=seed, tol=tol, overwrite_graphs=True)
     else:
         raise InputError(f"unknown method {method!r}")
-    return assign_transformers(km, data, xfmrs), emb, g_v
+    return assign_transformers(km, data, xfmrs), emb
 
 
 def cmd_cluster(args) -> int:
@@ -204,15 +207,15 @@ def cmd_cluster(args) -> int:
     data = load_dataset(args.voltages, args.locations)
     xfmrs = load_transformers(args.transformers) if args.transformers else None
 
-    mapping, emb, g_v = recover(
+    mapping, emb = recover(
         data, xfmrs, args.k, method=args.method, sigma=args.sigma, seed=args.seed,
         sigma_l=args.sigma_l, tol=args.tol,
     )
 
     _make_out_dir(args.out)
     if args.dump_similarity:
-        if g_v is None:  # the raw-voltage baseline builds no graph
-            g_v = voltage_similarity(data, sigma=args.sigma)
+        # built again: recover formed its Laplacian in the graph it clustered
+        g_v = voltage_similarity(data, sigma=args.sigma)
         _write_matrix(args.dump_similarity, data.meter_ids, g_v.matrix)
     if args.dump_embedding:
         _write_matrix(args.dump_embedding, data.meter_ids, emb.X)
@@ -240,8 +243,8 @@ def cmd_validate(args) -> int:
     data = load_dataset(args.voltages)
     xfmrs = load_transformers(args.transformers)
     truth = load_ground_truth(args.ground_truth, data, xfmrs)
-    g_v = voltage_similarity(data, sigma=args.sigma)
-    report = certify(g_v, truth.labels)
+    report = certify(voltage_similarity(data, sigma=args.sigma), truth.labels,
+                     overwrite_graph=True)
 
     _make_out_dir(args.out)
     # the eigenvalue arrays are the only fields json cannot write as they are
@@ -339,10 +342,12 @@ def cmd_sweep(args) -> int:
         for level, noise in enumerate(grid):
             spec = dataclasses.replace(base, noise_std_pu=noise, seed=base.seed + trial)
             data, xfmrs, truth = simulate_voltages(spec, profiles)
-            mapping, _, _ = recover(data, xfmrs, spec.k, sigma=args.sigma, seed=spec.seed)
+            mapping, _ = recover(data, xfmrs, spec.k, sigma=args.sigma, seed=spec.seed)
             report = evaluate(mapping, truth)
             accs[level].append(report.accuracy)
             exact[level] += report.exact_recovery
+            del data  # before the next level's panel is simulated
+        del profiles  # before the next trial's are drawn
     rows = [(noise, exact[level] / args.trials, float(np.mean(accs[level])))
             for level, noise in enumerate(grid)]
 

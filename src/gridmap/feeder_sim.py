@@ -263,16 +263,25 @@ def generate_profiles(spec: FeederSpec) -> np.ndarray:
     up to MAX_REDRAWS times.
     """
     rng = _rng(spec, 0)
-    labels = spec.labels()
+    labels = spec.labels().tolist()
     n = spec.n_meters
     loads = _draw_profiles(spec, rng, n, spec.load_amp_pu)
 
-    # profile bytes (+ 0.0 folds -0.0 into 0.0) -> transformer of the first
-    # meter that drew it; every later meter with that profile shares it
-    owner = {}
+    # the first meter to draw each profile, keyed by the hash of the
+    # profile's bytes (+ 0.0 folds -0.0 into 0.0), so no profile is kept
+    # twice; bytes are compared only where a hash is taken, and a profile
+    # whose hash another took first is keyed by its bytes. Every later
+    # meter with that profile shares it, so its transformer must match.
+    firsts, clashes = {}, {}
     for i in range(n):
         redraws = 0
-        while owner.setdefault((loads[i] + 0.0).tobytes(), labels[i]) != labels[i]:
+        while True:
+            key = (loads[i] + 0.0).tobytes()
+            first = firsts.setdefault(hash(key), i)
+            if first != i and (loads[first] + 0.0).tobytes() != key:
+                first = clashes.setdefault(key, i)
+            if labels[first] == labels[i]:
+                break
             if redraws == MAX_REDRAWS:
                 raise InputError(
                     f"meter {i}'s load profile still matches another transformer's after "

@@ -27,6 +27,12 @@ rows after it, computed in blocks of rows. A block holds O(N) doubles, so
 a graph peaks at its N x N matrix (with the centered N x T copy of the
 voltages) plus, for ``auto``, the N(N-1)/2 distances the median reorders:
 1.5 N^2 doubles.
+
+``laplacian`` leaves the graph as it is and returns a new N x N matrix,
+unless the caller gives the graph up (``overwrite_graph``): then the
+Laplacian is formed in the graph's own matrix, with the same bits, and the
+graph's matrix is no longer the graph. ``recover`` and the commands do
+that with every graph they read once.
 """
 from __future__ import annotations
 
@@ -196,12 +202,13 @@ def ideal_graph(truth: GroundTruth) -> SimilarityGraph:
     return SimilarityGraph(matrix=same.astype(float), sigma=0.0, kind="ideal")
 
 
-def laplacian(graph) -> np.ndarray:
+def laplacian(graph, overwrite_graph: bool = False) -> np.ndarray:
     """Unnormalized Laplacian L = D - M of a similarity matrix.
 
     Accepts a SimilarityGraph or a raw matrix. Rejects matrices with a
     non-finite entry, that are not symmetric to 1e-12 or whose entries
-    leave [0, 1].
+    leave [0, 1]. With ``overwrite_graph`` L is formed in the graph's float
+    matrix (see the module docstring).
     """
     m = np.asarray(graph.matrix if isinstance(graph, SimilarityGraph) else graph, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -214,7 +221,9 @@ def laplacian(graph) -> np.ndarray:
     if lo < -SYMMETRY_TOL or hi > 1.0 + SYMMETRY_TOL:
         raise InputError("similarity entries must lie in [0, 1]")
     # 0 - m, not -m, so zero weights give +0.0 as diag(d) - m does; the
-    # diagonal -m_ii + d_i equals d_i - m_ii exactly
-    lap = np.subtract(0.0, m)
-    lap.flat[::m.shape[0] + 1] += m.sum(axis=1)
+    # diagonal -m_ii + d_i equals d_i - m_ii exactly. The degrees come
+    # first, so m may be the output.
+    degrees = m.sum(axis=1)
+    lap = np.subtract(0.0, m, out=m if overwrite_graph else None)
+    lap.flat[::m.shape[0] + 1] += degrees
     return lap

@@ -25,7 +25,10 @@ so ``certify`` takes its spectrum, its action and its bottom eigenvectors
 (the k normalized group indicators, for the k zeros) in closed form and
 never forms it. The measured Laplacian is decomposed one connected
 component at a time, one ``eigendecompose`` call per component of two or
-more meters.
+more meters. That Laplacian is ``certify``'s own, so each decomposition
+works in its component's copy, or in the Laplacian itself where the graph
+is connected; the measured graph is left as it is unless the caller gives
+it up, and then the Laplacian is formed in the graph's matrix.
 """
 from __future__ import annotations
 
@@ -182,7 +185,7 @@ def _bound(apply_l, x_tilde: np.ndarray, spectrum: np.ndarray, k: int, basis: np
     return report
 
 
-def certify(real: SimilarityGraph, labels) -> GuaranteeReport:
+def certify(real: SimilarityGraph, labels, overwrite_graph: bool = False) -> GuaranteeReport:
     """Full report: assumption gap plus the perturbation bound, one call.
 
     ``labels`` holds one label per meter, of any values; meters with equal
@@ -203,8 +206,11 @@ def certify(real: SimilarityGraph, labels) -> GuaranteeReport:
     connected Laplacian is one component, decomposed whole, so its report
     has the bits of a whole-matrix solve; a disconnected one's measured
     values may move in the last bits against it.
+
+    With ``overwrite_graph`` the caller gives the graph up, and the
+    Laplacian is formed in its matrix.
     """
-    l_real = laplacian(real)
+    l_real = laplacian(real, overwrite_graph=overwrite_graph)
     n = l_real.shape[0]
     labels = np.asarray(labels)
     if labels.shape != (n,):
@@ -215,7 +221,8 @@ def certify(real: SimilarityGraph, labels) -> GuaranteeReport:
         raise InputError(f"each of the {n} meters is a group of its own: "
                          "no complementary spectrum")
     # looked up per call, so a wrapper on guarantee.eigendecompose sees every solve
-    real_values, x_tilde = by_component(l_real, k, eigendecompose)
+    real_values, x_tilde = by_component(
+        l_real, k, lambda block, m: eigendecompose(block, m, overwrite_a=True), overwrite_a=True)
     spectrum = _ideal_spectrum(sizes)
 
     report = _bound(

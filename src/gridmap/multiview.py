@@ -19,8 +19,10 @@ v-step's combined matrix sum to Tr(Hv' (Lv - lambda Hl Hl') Hv), so
 
 with Tr(Hl' Ll Hl) carried over from the last l-step, and symmetrically
 after an l-step. Both combined matrices are built in one reused N x N
-buffer. ``tests/reference_multiview.py`` evaluates J from the traces
-directly and pins this solve against that.
+buffer, which every eigensolve, the two single-view ones included, is
+handed to overwrite, so no solve copies a matrix.
+``tests/reference_multiview.py`` evaluates J from the traces directly and
+pins this solve against that.
 
 Every caller runs the same coupling weight (LAMBDA_REG) and iteration cap
 (MAX_OUTER_ITERS), so they are constants; only the convergence tolerance
@@ -72,6 +74,7 @@ def solve_multiview(
     k: int,
     seed: int,
     tol: float = TOL,
+    overwrite_graphs: bool = False,
 ) -> tuple[SpectralEmbedding, KMeansResult, MultiViewState]:
     """Alternating minimization of the co-regularized objective, weight
     LAMBDA_REG.
@@ -83,29 +86,35 @@ def solve_multiview(
     minimizes the objective exactly, so the last iterate is also the best
     one. Returns the voltage-view embedding, the k-means++ result on its
     rows (``gridmap.cluster.RESTARTS`` restarts), and the iteration record.
+
+    The graphs are left as they are unless the caller gives them up
+    (``overwrite_graphs``); then each view's Laplacian is formed in its
+    graph.
     """
     if not 0 < tol < np.inf:
         raise InputError("tol must be finite and positive")
-    l_v = laplacian(g_v)
-    l_l = laplacian(g_l)
+    l_v = laplacian(g_v, overwrite_graph=overwrite_graphs)
+    l_l = laplacian(g_l, overwrite_graph=overwrite_graphs)
     if l_v.shape != l_l.shape:
         raise InputError("views disagree on the number of meters")
     lam = LAMBDA_REG
-    work = np.empty_like(l_v)  # every half-step's combined matrix
+    work = np.empty_like(l_v)  # every solve's matrix, given up to the solver
 
-    emb_v = embed(l_v, k)
-    emb_l = embed(l_l, k)
+    np.copyto(work, l_v)
+    emb_v = embed(work, k, overwrite_a=True)
+    np.copyto(work, l_l)
+    emb_l = embed(work, k, overwrite_a=True)
     tr_v, tr_l = emb_v.eigenvalues.sum(), emb_l.eigenvalues.sum()
 
     state = MultiViewState(H_v=emb_v.X, H_l=emb_l.X)
     trace = state.objective_trace
     trace.append(float(tr_v + tr_l + lam * disagreement(emb_v.X, emb_l.X)))
     for it in range(1, MAX_OUTER_ITERS + 1):
-        emb_v = embed(combined_laplacian(l_v, emb_l.X, lam, out=work), k)
+        emb_v = embed(combined_laplacian(l_v, emb_l.X, lam, out=work), k, overwrite_a=True)
         w_v = emb_v.eigenvalues.sum()
         trace.append(float(w_v + tr_l))
         tr_v = w_v - lam * disagreement(emb_v.X, emb_l.X)
-        emb_l = embed(combined_laplacian(l_l, emb_v.X, lam, out=work), k)
+        emb_l = embed(combined_laplacian(l_l, emb_v.X, lam, out=work), k, overwrite_a=True)
         w_l = emb_l.eigenvalues.sum()
         trace.append(float(tr_v + w_l))
         tr_l = w_l - lam * disagreement(emb_v.X, emb_l.X)

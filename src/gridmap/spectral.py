@@ -17,7 +17,7 @@ component, and its eigenpairs are the union of the blocks' eigenpairs.
 matrix's nonzero mask, solves them one by one with a solver it is handed
 and merges the pieces, which is exact and costs the sum of the blocks'
 cubes instead of N cubed; a connected matrix is the one-block case and
-goes to the solver whole, uncopied. Each block of a split matrix is asked
+goes to the solver whole. Each block of a split matrix is asked
 only for about its share of the k bottom eigenvectors, k - B + 2 of them
 with B blocks and isolated nodes in all, and solved again for all it
 could hold where that share might run past them. ``embed`` hands it the
@@ -26,6 +26,17 @@ every measured eigenvalue. ``eigendecompose`` itself always solves the
 matrix it is given whole: it is the dense oracle the certificate is tested
 against, and split into blocks its eigenvalues would move by a few ulp
 (the ideal [4, 30, 6] Laplacian's 4.0 becomes 4 - 4 ulp).
+
+LAPACK works in a Fortran-ordered matrix, which it overwrites. ``embed``
+and ``eigendecompose`` leave the matrix they are given as it is: every
+solve works in a copy, a component's block or the whole matrix in
+Fortran order, which is the one copy LAPACK's wrapper would make. A
+caller that never reads the matrix again gives it up (``overwrite_a``),
+and then a whole-matrix solve, of a connected matrix or in the spectrum
+mode, works in it: an exactly symmetric C-ordered one is handed over as
+its transpose, the same matrix in Fortran order, so no N x N copy is made
+and the bits are those of the copy. ``by_component`` hands its solver
+only buffers the solver may overwrite.
 """
 from __future__ import annotations
 
@@ -107,14 +118,17 @@ def _components(a):
     return blocks, isolated
 
 
-def by_component(a, k, solve):
+def by_component(a, k, solve, overwrite_a=False):
     """Eigenvalues and the k bottom eigenvectors of a symmetric matrix,
     solved one connected component of its off-diagonal nonzeros at a time.
 
     The matrix is block diagonal under a permutation, so its eigenpairs are
     the union of the blocks'. ``solve(block, m)`` returns a block's
     ascending eigenvalues, at least m of them, and the eigenvectors of the
-    first m. An isolated node i contributes a_ii with the unit vector e_i.
+    first m. It may overwrite ``block``: a Fortran-ordered copy of the
+    component, or ``a`` itself where the component holds every node and
+    the caller gives ``a`` up (``overwrite_a``); ``a`` is left as it is
+    otherwise. An isolated node i contributes a_ii with the unit vector e_i.
     One stable sort by (eigenvalue, the component's lowest node) merges
     every value returned, ascending; among tied eigenvalues of one block the
     solver's order is kept, so each block's share of the bottom k is a
@@ -133,17 +147,20 @@ def by_component(a, k, solve):
     merge but for ties moved by rounding; it repeats while any block's share
     reaches its m, and ends, since no block is solved again twice.
 
-    A block that holds every node is ``a`` itself, not a copy, solved for
-    min(k, size) pairs; its values come out in the solver's order and its
-    vectors in their own columns, so a connected matrix gets the bits of
-    one whole-matrix solve.
+    A block that holds every node is solved for min(k, size) pairs, once;
+    its values come out in the solver's order and its vectors in their own
+    columns, so a connected matrix gets the bits of one whole-matrix solve.
     """
     blocks, isolated = _components(a)
     n = a.shape[0]
     cap = max(2, k - len(blocks) - isolated.size + 2)
 
     def block_solve(nodes, m):
-        return solve(a if nodes.size == n else a[np.ix_(nodes, nodes)], m)
+        if nodes.size == n:
+            return solve(a if overwrite_a else np.array(a, order="F"), m)
+        # the rows of a's transpose are its columns: one copy, read as the
+        # Fortran-ordered block, which LAPACK takes without another
+        return solve(a.T[np.ix_(nodes, nodes)].T, m)
 
     pieces = [block_solve(nodes, min(k, nodes.size, cap)) for nodes in blocks]
     # no solve for an isolated node: a kernel narrow for the noise isolates
@@ -180,11 +197,13 @@ def by_component(a, k, solve):
 
 def _bottom(block, m):
     """The m smallest eigenpairs of a symmetric block, from the relatively
-    robust representations driver, which stops after them."""
-    return scipy.linalg.eigh(block, subset_by_index=(0, m - 1), driver="evr", check_finite=False)
+    robust representations driver, which stops after them. A
+    Fortran-ordered block is overwritten; the wrapper copies any other."""
+    return scipy.linalg.eigh(block, subset_by_index=(0, m - 1), driver="evr",
+                             check_finite=False, overwrite_a=True)
 
 
-def _eigh(matrix, k=None, spectrum=False):
+def _eigh(matrix, k=None, spectrum=False, overwrite_a=False):
     """Ascending eigenvalues and the sign-fixed eigenvectors of the k
     smallest of them (all of them when k is None), for a symmetric matrix.
 
@@ -203,6 +222,9 @@ def _eigh(matrix, k=None, spectrum=False):
     bisection with inverse iteration for the k wanted vectors, which the
     reduction's reflectors then carry back. It always solves the whole
     matrix (see the module docstring).
+
+    With ``overwrite_a`` the solvers may work in the matrix (see the module
+    docstring); without it they work in a copy.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -210,17 +232,20 @@ def _eigh(matrix, k=None, spectrum=False):
     lo, hi = a.min(), a.max()  # NaN propagates through both
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise NumericalError("matrix has non-finite entries")
-    if max_asymmetry(a) > 1e-10 * max(1.0, -lo, hi):
+    asymmetry = max_asymmetry(a)
+    if asymmetry > 1e-10 * max(1.0, -lo, hi):
         raise InputError("matrix must be symmetric")
+    if overwrite_a and asymmetry == 0.0 and a.flags.c_contiguous:
+        a = a.T
     n = a.shape[0]
     k = n if k is None else k
     if not 1 <= k <= n:
         raise InputError(f"need 1 <= k <= N eigenvectors, got k={k}, N={n}")
     try:
         if spectrum:
-            w, v = _spectrum(a, k)
+            w, v = _spectrum(a if overwrite_a else np.array(a, order="F"), k)
         else:
-            w, v = by_component(a, k, _bottom)
+            w, v = by_component(a, k, _bottom, overwrite_a)
             w = w[:k]  # the merge holds up to k values of each block
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
@@ -233,12 +258,13 @@ def _spectrum(a, k):
     """All eigenvalues of a symmetric matrix and the eigenvectors of its k
     smallest: ``dsytrd``, then ``dsterf``, ``dstebz`` and ``dstein`` on the
     tridiagonal matrix, as scipy's ``eigvalsh_tridiagonal`` and
-    ``eigh_tridiagonal`` run them, without their per-call checks."""
+    ``eigh_tridiagonal`` run them, without their per-call checks. A
+    Fortran-ordered ``a`` is overwritten; the wrapper copies any other."""
     n = a.shape[0]
     if n == 1:
         return a[0].copy(), np.ones((1, 1))
     lwork, _ = lapack.dsytrd_lwork(n, lower=1)
-    c, d, e, tau, _ = lapack.dsytrd(a, lower=1, lwork=int(lwork))
+    c, d, e, tau, _ = lapack.dsytrd(a, lower=1, lwork=int(lwork), overwrite_a=1)
     w, sterf_info = lapack.dsterf(d, e)
     m, bisected, iblock, isplit, stebz_info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, k, 0.0, "B")
     z, stein_info = lapack.dstein(d, e, bisected[:m], iblock, isplit)
@@ -254,21 +280,25 @@ def _spectrum(a, k):
     return w, z
 
 
-def eigendecompose(matrix: np.ndarray, k: int | None = None) -> EigenDecomposition:
+def eigendecompose(matrix: np.ndarray, k: int | None = None,
+                   overwrite_a: bool = False) -> EigenDecomposition:
     """All N eigenvalues of a symmetric matrix, ascending, and the
-    eigenvectors of the k smallest (of all of them when k is None)."""
-    return EigenDecomposition(*_eigh(matrix, k, spectrum=True))
+    eigenvectors of the k smallest (of all of them when k is None). With
+    ``overwrite_a`` the caller gives the matrix up to the solve.
+    """
+    return EigenDecomposition(*_eigh(matrix, k, spectrum=True, overwrite_a=overwrite_a))
 
 
-def embed(matrix: np.ndarray, k: int) -> SpectralEmbedding:
+def embed(matrix: np.ndarray, k: int, overwrite_a: bool = False) -> SpectralEmbedding:
     """Embedding from the k smallest-eigenvalue eigenvectors (signed spectrum).
 
     Only eigenpairs 0..k are computed: the k vectors and the (k+1)-th value.
+    With ``overwrite_a`` the caller gives the matrix up to the solve.
     """
     n = np.asarray(matrix).shape[0]
     if not 1 <= k < n:
         raise InputError(f"k must satisfy 1 <= k < N, got k={k}, N={n}")
-    w, v = _eigh(matrix, k + 1)
+    w, v = _eigh(matrix, k + 1, overwrite_a=overwrite_a)
     return SpectralEmbedding(
         X=v[:, :k].copy(), eigenvalues=w[:k].copy(), next_eigenvalue=float(w[k])
     )

@@ -221,7 +221,7 @@ def test_criterion_08_noise_robustness_curve():
         for trial in range(100):
             spec = dataclasses.replace(base, noise_std_pu=noise, seed=base.seed + trial)
             data, xfmrs, truth = simulate(spec)
-            mapping, _, _ = recover(data, xfmrs, spec.k, seed=spec.seed)
+            mapping, _ = recover(data, xfmrs, spec.k, seed=spec.seed)
             exact += evaluate(mapping, truth).exact_recovery
         rates.append(exact / 100)
     elapsed = time.perf_counter() - t0
@@ -244,9 +244,9 @@ def two_site_accuracies():
     out = []
     for seed in range(20):
         data, xfmrs, truth = two_site_case(seed)
-        single, _, _ = recover(data, xfmrs, 2, sigma=TWO_SITE_SIGMA, seed=seed)
-        multi, _, _ = recover(data, xfmrs, 2, "multiview", sigma=TWO_SITE_SIGMA, seed=seed)
-        base, _, _ = recover(data, xfmrs, 2, "kmeans-baseline", seed=seed)
+        single, _ = recover(data, xfmrs, 2, sigma=TWO_SITE_SIGMA, seed=seed)
+        multi, _ = recover(data, xfmrs, 2, "multiview", sigma=TWO_SITE_SIGMA, seed=seed)
+        base, _ = recover(data, xfmrs, 2, "kmeans-baseline", seed=seed)
         out.append(tuple(evaluate(m, truth).accuracy for m in (single, multi, base)))
     return out
 

@@ -281,7 +281,7 @@ def test_recover_through_the_package_attribute():
     spec = two_cluster_spec(0.0, seed=0)
     data, xfmrs, truth = simulate_voltages(spec, generate_profiles(spec))
     assert gridmap.recover is gridmap.cli.recover
-    mapping, _, _ = gridmap.recover(data, xfmrs, k=2, seed=0)
+    mapping, _ = gridmap.recover(data, xfmrs, k=2, seed=0)
     assert gridmap.evaluate(mapping, truth).exact_recovery
     with pytest.raises(gridmap.InputError, match="unknown method 'bogus'"):
         gridmap.recover(data, xfmrs, 2, method="bogus")
@@ -628,7 +628,9 @@ def test_dump_to_the_null_device(tmp_path, flag):
 
 def test_baseline_dumps_the_graph_it_does_not_cluster(tmp_path):
     out = simulate(tmp_path, two_cluster_spec(0.0, seed=6))
-    for method in ("kmeans-baseline", "spectral"):
+    # the clustering methods form their Laplacians in their graphs' buffers,
+    # so each dump has to be the graph, not what the cluster run left there
+    for method in ("kmeans-baseline", "spectral", "multiview"):
         assert main(cluster_args(
             out, k=2, method=method, out=tmp_path / method,
             dump_similarity=tmp_path / f"{method}.csv",
@@ -636,6 +638,7 @@ def test_baseline_dumps_the_graph_it_does_not_cluster(tmp_path):
     sim = (tmp_path / "kmeans-baseline.csv").read_text()
     assert len(sim.splitlines()) == 11
     assert sim == (tmp_path / "spectral.csv").read_text()
+    assert sim == (tmp_path / "multiview.csv").read_text()
 
 
 def test_baseline_has_no_embedding_to_dump(tmp_path, capsys):
@@ -820,7 +823,7 @@ def test_sweep_draws_each_trials_profiles_once(tmp_path, monkeypatch):
         for trial in range(3):
             cell = dataclasses.replace(spec, noise_std_pu=noise, seed=spec.seed + trial)
             data, xfmrs, truth = simulate_voltages(cell, generate_profiles(cell))
-            mapping, _, _ = gridmap.cli.recover(data, xfmrs, cell.k, sigma=0.002, seed=cell.seed)
+            mapping, _ = gridmap.cli.recover(data, xfmrs, cell.k, sigma=0.002, seed=cell.seed)
             accs.append(gridmap.evaluate(mapping, truth))
         rate = sum(r.exact_recovery for r in accs) / 3
         mean = float(np.mean([r.accuracy for r in accs]))

@@ -341,6 +341,15 @@ def test_simulator_matches_the_per_meter_reference_byte_for_byte(name, monkeypat
         assert (got == -0.005).any()
 
 
+@pytest.mark.parametrize("name", ["redraws", "many meters"])
+def test_profile_guard_compares_bytes_where_hashes_collide(name, monkeypatch):
+    # every profile hashes alike, so each is told apart by its bytes alone
+    spec = REFERENCE_SPECS[name]()
+    monkeypatch.setattr(feeder_sim, "hash", lambda key: 0, raising=False)
+    got = generate_profiles(spec)
+    assert got.tobytes() == reference_feeder_sim.generate_profiles(spec).tobytes()
+
+
 def test_timestamps_are_cached_but_every_call_gets_its_own_list():
     first = feeder_sim._timestamps(3)
     first[0] = "changed"

@@ -376,9 +376,9 @@ def test_certify_decomposes_each_component_through_the_module_name(monkeypatch, 
     g, truth = case()
     sizes = []
 
-    def counting(matrix, k=None):
+    def counting(matrix, k=None, **options):
         sizes.append(matrix.shape[0])
-        return eigendecompose(matrix, k)
+        return eigendecompose(matrix, k, **options)
 
     monkeypatch.setattr(gridmap.guarantee, "eigendecompose", counting)
     certify(g, truth.labels)

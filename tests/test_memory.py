@@ -4,12 +4,20 @@ numpy's array allocations.
 A graph is built in place in its N x N distance matrix, so it peaks at
 that matrix plus a block of rows, or with ``auto`` plus the N(N-1)/2
 distances gathered for the median width (1.5 N^2 doubles), not at three or
-six N x N temporaries. ``recover`` on the spectral method holds the graph,
-its Laplacian and the eigensolver's copy of it (about 3.15 N^2 doubles at
-N = 400). The bounds leave a small margin over those figures, so a change
-that brings an N x N temporary back fails here. k-means++ seeds its ten
-restarts together in a few (10, N) arrays, which the ``recover`` bound
-covers.
+six N x N temporaries. ``recover`` reads each graph once, so it forms the
+Laplacian in the graph's matrix and the eigensolver works in that: with
+``auto`` the spectral method peaks at the graph's build, 1.50 N^2 doubles
+at N = 400, and the multiview method holds two Laplacians and the solve's
+work matrix, 3.49. ``certify`` works in its own Laplacian (one more
+matrix beside a graph it keeps, none where the graph is given up), and
+the tridiagonal solve of a connected one copies its reflectors, 3.13 and
+2.13; on a split graph only the components are copied, 2.25 and 1.32.
+Load profiles peak at their (N, T) array plus the per-meter draws and
+the degenerate-profile guard's hashes: 1.47 N x T doubles, 2.47 with load
+noise, whose rows wait in a second array. The bounds leave a small margin
+over those figures, so a change that brings an N x N (or N x T)
+temporary back fails here. k-means++ seeds its ten restarts together in a
+few (10, N) arrays, which the ``recover`` bounds cover.
 """
 import tracemalloc
 
@@ -20,25 +28,38 @@ from gridmap.cli import recover
 from gridmap import graph
 from gridmap.feeder_sim import FeederSpec, generate_profiles, simulate_voltages
 from gridmap.graph import location_similarity, voltage_similarity
+from gridmap.guarantee import certify
+from gridmap.spectral import _components
 
 GRAPH_BOUND = 1.6       # N x N matrices of doubles
-RECOVER_BOUND = 3.3
+RECOVER_BOUND = 1.55
+MULTIVIEW_BOUND = 3.55
+CERTIFY_BOUNDS = {      # layout -> (graph kept, graph given up)
+    "connected": (3.2, 2.2),
+    "split": (2.3, 1.4),
+}
+PROFILE_BOUNDS = {0.0: 1.55, 0.005: 2.55}   # load noise -> N x T arrays of doubles
+SPLIT_SIGMA = 3e-5      # separates the noise-free feeder's groups into components
+
+
+def star_spec(**overrides):
+    return FeederSpec(**{
+        "k": 16,
+        "meters_per_xfmr": 25,
+        "xfmr_impedance_pu": np.linspace(0.002, 0.006, 16).tolist(),
+        "line_resistance_pu": 5e-4,
+        "T": 96,
+        "noise_std_pu": 1e-4,
+        "seed": 0,
+        "secondary": "star",
+    } | overrides)
 
 
 @pytest.fixture(scope="module")
 def feeder():
-    spec = FeederSpec(
-        k=16,
-        meters_per_xfmr=25,
-        xfmr_impedance_pu=np.linspace(0.002, 0.006, 16).tolist(),
-        line_resistance_pu=5e-4,
-        T=96,
-        noise_std_pu=1e-4,
-        seed=0,
-        secondary="star",
-    )
-    data, xfmrs, _ = simulate_voltages(spec, generate_profiles(spec))
-    return data, xfmrs, spec.k
+    spec = star_spec()
+    data, xfmrs, truth = simulate_voltages(spec, generate_profiles(spec))
+    return data, xfmrs, spec.k, truth
 
 
 def traced_peak(call):
@@ -55,7 +76,7 @@ def traced_peak(call):
 @pytest.mark.parametrize("build", [voltage_similarity, location_similarity])
 @pytest.mark.parametrize("sigma", ["auto", 0.3])
 def test_graph_peaks_at_one_and_a_half_matrices(feeder, build, sigma):
-    data, _, _ = feeder
+    data = feeder[0]
     n = data.n_meters
     assert n == 400
     assert traced_peak(lambda: build(data, sigma=sigma)) <= GRAPH_BOUND * n * n * 8
@@ -67,13 +88,46 @@ def test_graph_peak_holds_with_unbounded_block_rows(feeder, build, sigma, monkey
     # blocks of n / 16 rows at most keep their temporaries small, whatever
     # BLOCK_ROWS allows
     monkeypatch.setattr(graph, "BLOCK_ROWS", 10 ** 9)
-    data, _, _ = feeder
+    data = feeder[0]
     n = data.n_meters
     assert graph._row_blocks(n)[0] == (0, n // 16)
     assert traced_peak(lambda: build(data, sigma=sigma)) <= GRAPH_BOUND * n * n * 8
 
 
 def test_spectral_recover_peak(feeder):
-    data, xfmrs, k = feeder
+    data, xfmrs, k, _ = feeder
     n = data.n_meters
     assert traced_peak(lambda: recover(data, xfmrs, k, seed=0)) <= RECOVER_BOUND * n * n * 8
+
+
+def test_multiview_recover_peak(feeder):
+    data, xfmrs, k, _ = feeder
+    n = data.n_meters
+    peak = traced_peak(lambda: recover(data, xfmrs, k, "multiview", seed=0))
+    assert peak <= MULTIVIEW_BOUND * n * n * 8
+
+
+@pytest.mark.parametrize("overwrite_graph", [False, True])
+@pytest.mark.parametrize("layout", ["connected", "split"])
+def test_certify_peak(feeder, layout, overwrite_graph):
+    # the traced call builds the graph, as validate-assumption does
+    data, _, _, truth = feeder
+    sigma = "auto"
+    if layout == "split":
+        data, _, _ = simulate_voltages(star_spec(noise_std_pu=0.0), generate_profiles(star_spec()))
+        sigma = SPLIT_SIGMA
+    blocks, _ = _components(voltage_similarity(data, sigma=sigma).matrix)
+    assert (len(blocks) > 1) == (layout == "split")
+    n = data.n_meters
+    bound = CERTIFY_BOUNDS[layout][overwrite_graph]
+    peak = traced_peak(lambda: certify(voltage_similarity(data, sigma=sigma), truth.labels,
+                                       overwrite_graph=overwrite_graph))
+    assert peak <= bound * n * n * 8
+
+
+@pytest.mark.parametrize("load_noise", sorted(PROFILE_BOUNDS))
+def test_profiles_peak(load_noise):
+    # the degenerate-profile guard keeps hashes, not a copy of every profile
+    spec = star_spec(load_noise_pu=load_noise)
+    peak = traced_peak(lambda: generate_profiles(spec))
+    assert peak <= PROFILE_BOUNDS[load_noise] * spec.n_meters * spec.T * 8
