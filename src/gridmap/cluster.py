@@ -39,7 +39,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError, NumericalError
-from .geo import haversine
+from .geo import pairwise_geo
 from .ingest import GroundTruth, MeterDataset, TransformerSet
 
 MAX_ITER = 300      # Lloyd iterations per restart
@@ -264,7 +264,7 @@ def attach_transformers(
         geo[c] = data.locations[members].mean(axis=0)
     out.centroids_geo = geo
 
-    cost = haversine(geo[:, None, :], xfmrs.locations[None, :, :])
+    cost = pairwise_geo(geo, xfmrs.locations)
     if k <= xfmrs.n_transformers:
         # with no more rows than columns, every row is matched, in row order
         chosen = linear_sum_assignment(cost)[1]

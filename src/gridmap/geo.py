@@ -1,7 +1,8 @@
 """Geodesic distances between (latitude, longitude) pairs given in radians.
 
 Every distance the package measures is the haversine great-circle distance,
-in kilometers on a sphere of radius 6371 km.
+in kilometers on a sphere of radius 6371 km, taken by ``pairwise_geo``
+between every point of one set and every point of another.
 """
 from __future__ import annotations
 
@@ -33,8 +34,9 @@ def haversine(p, q):
     return float(d) if d.ndim == 0 else d
 
 
-def pairwise_geo(points):
-    """All-pairs haversine distance matrix (km) for an (n, 2) array of
-    radian coords."""
-    points = np.asarray(points, dtype=float)
-    return haversine(points[:, None, :], points[None, :, :])
+def pairwise_geo(p, q=None):
+    """Haversine distances (km), (n, m), from each of the n rows of radian
+    coords ``p`` to each of the m rows of ``q``, or of ``p`` when ``q`` is None."""
+    p = np.asarray(p, dtype=float)
+    q = p if q is None else np.asarray(q, dtype=float)
+    return haversine(p[:, None, :], q[None, :, :])

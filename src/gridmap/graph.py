@@ -22,11 +22,11 @@ column-centered rows, ||x_i - x_j||^2 = ||x_i||^2 + ||x_j||^2 - 2 x_i.x_j;
 BLAS threads it, and gridmap starts no thread of its own. Its error in
 d^2 stays within T eps (||x_i||^2 + ||x_j||^2) of the centered norms, so
 centering keeps it small next to d^2 where meters sit near one voltage.
-The location distances are the haversine distances of each row to the
-rows after it, computed in blocks of rows. A block holds O(N) doubles, so
-a graph peaks at its N x N matrix (with the centered N x T copy of the
-voltages) plus, for ``auto``, the N(N-1)/2 distances the median reorders:
-1.5 N^2 doubles.
+The location distances come from ``geo.pairwise_geo``, one call per block
+of rows against the rows after the block's first. A block holds O(N)
+doubles, so a graph peaks at its N x N matrix (with the centered N x T
+copy of the voltages) plus, for ``auto``, the N(N-1)/2 distances the
+median reorders: 1.5 N^2 doubles.
 
 ``laplacian`` leaves the graph as it is and returns a new N x N matrix,
 unless the caller gives the graph up (``overwrite_graph``): then the
@@ -42,8 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-# pairwise_geo stays imported: perfbench/tracing.py wraps it on this module
-from .geo import haversine, pairwise_geo  # noqa: F401
+from .geo import pairwise_geo
 from .ingest import GroundTruth, MeterDataset
 from .spectral import max_asymmetry
 
@@ -102,12 +101,12 @@ def _similarity(n: int, distances, sigma, kind: str) -> SimilarityGraph:
     ``distances()`` returns an (n, n) matrix whose i < j entries are the
     distances; the others are scratch. It becomes the graph in place. The
     width is ``sigma``, or for ``auto`` the median of those distances,
-    gathered row by row into one buffer. Then each block of rows takes the
-    kernel right of its first column, its square on the diagonal made
-    symmetric with a zero diagonal first (the kernel turns that to 1), and
-    its entries right of that square are mirrored below it, so the matrix
-    is exactly symmetric. ``sigma`` is ``auto`` or a positive, finite,
-    non-boolean real number.
+    each row's tail right of the diagonal concatenated into one buffer.
+    Then each block of rows takes the kernel right of its first column,
+    its square on the diagonal made symmetric with a zero diagonal first
+    (the kernel turns that to 1), and its entries right of that square are
+    mirrored below it, so the matrix is exactly symmetric. ``sigma`` is
+    ``auto`` or a positive, finite, non-boolean real number.
     """
     if n < 2:
         raise InputError("need at least 2 meters")
@@ -116,13 +115,7 @@ def _similarity(n: int, distances, sigma, kind: str) -> SimilarityGraph:
         raise InputError(f"sigma must be {AUTO!r} or a positive, finite number, got {sigma!r}")
     m = distances()
     if sigma == AUTO:
-        pairs = np.empty(n * (n - 1) // 2)
-        at = 0
-        for i in range(n - 1):
-            pairs[at:at + n - 1 - i] = m[i, i + 1:]
-            at += n - 1 - i
-        width = _median_width(pairs)
-        del pairs
+        width = _median_width(np.concatenate([m[i, i + 1:] for i in range(n - 1)]))
     else:
         width = float(sigma)
     for a, b in _row_blocks(n):
@@ -169,16 +162,14 @@ def _location_distances(points: np.ndarray) -> np.ndarray:
     """Haversine distances (km) between the rows of ``points``, i < j
     entries of an (N, N) matrix (see ``_similarity``).
 
-    A block of rows a..b-1 is measured against the rows after a, and each
-    row keeps its j > i tail. The pairs left of a block's diagonal are
-    computed and dropped, a few percent of the work.
+    A block of rows a..b-1 is measured against the rows after a, in place
+    of its entries right of column a. The pairs on and left of the
+    diagonal in there are scratch, a few percent of the work.
     """
     n = len(points)
     d = np.empty((n, n))
     for a, b in _row_blocks(n):
-        block = haversine(points[a:b, None], points[None, a + 1:])
-        for i in range(a, b):
-            d[i, i + 1:] = block[i - a, i - a:]
+        d[a:b, a + 1:] = pairwise_geo(points[a:b], points[a + 1:])
     return d
 
 

@@ -100,24 +100,22 @@ def solve_multiview(
     lam = LAMBDA_REG
     work = np.empty_like(l_v)  # every solve's matrix, given up to the solver
 
-    np.copyto(work, l_v)
-    emb_v = embed(work, k, overwrite_a=True)
-    np.copyto(work, l_l)
-    emb_l = embed(work, k, overwrite_a=True)
-    tr_v, tr_l = emb_v.eigenvalues.sum(), emb_l.eigenvalues.sum()
+    laps, embs = (l_v, l_l), []  # voltage view, then location view
+    for lap in laps:
+        np.copyto(work, lap)
+        embs.append(embed(work, k, overwrite_a=True))
+    trs = [emb.eigenvalues.sum() for emb in embs]  # Tr(H' L H) of each view
 
-    state = MultiViewState(H_v=emb_v.X, H_l=emb_l.X)
+    state = MultiViewState(H_v=embs[0].X, H_l=embs[1].X)
     trace = state.objective_trace
-    trace.append(float(tr_v + tr_l + lam * disagreement(emb_v.X, emb_l.X)))
+    trace.append(float(trs[0] + trs[1] + lam * disagreement(embs[0].X, embs[1].X)))
     for it in range(1, MAX_OUTER_ITERS + 1):
-        emb_v = embed(combined_laplacian(l_v, emb_l.X, lam, out=work), k, overwrite_a=True)
-        w_v = emb_v.eigenvalues.sum()
-        trace.append(float(w_v + tr_l))
-        tr_v = w_v - lam * disagreement(emb_v.X, emb_l.X)
-        emb_l = embed(combined_laplacian(l_l, emb_v.X, lam, out=work), k, overwrite_a=True)
-        w_l = emb_l.eigenvalues.sum()
-        trace.append(float(tr_v + w_l))
-        tr_l = w_l - lam * disagreement(emb_v.X, emb_l.X)
+        for view, other in ((0, 1), (1, 0)):
+            low = combined_laplacian(laps[view], embs[other].X, lam, out=work)
+            embs[view] = embed(low, k, overwrite_a=True)
+            w = embs[view].eigenvalues.sum()
+            trace.append(float(w + trs[other]))
+            trs[view] = w - lam * disagreement(embs[0].X, embs[1].X)
         state.n_iters = it
         if abs(trace[-3] - trace[-1]) <= tol * max(1.0, abs(trace[-3])):
             state.converged = True
@@ -127,5 +125,5 @@ def solve_multiview(
             f"multi-view solve did not converge in {MAX_OUTER_ITERS} iterations; "
             "returning the last iterate"
         )
-    state.H_v, state.H_l = emb_v.X, emb_l.X
-    return emb_v, kmeans_pp(emb_v.X, k, seed=seed), state
+    state.H_v, state.H_l = embs[0].X, embs[1].X
+    return embs[0], kmeans_pp(embs[0].X, k, seed=seed), state

@@ -273,8 +273,13 @@ def _spectrum(a, k):
                                     f"{sterf_info}, dstebz {stebz_info}, dstein {stein_info})")
     z = z[:, np.argsort(bisected[:m])]  # dstebz orders by split block
     # scipy wraps no dormtr, but with lower=1, Q = diag(1, Q1), and Q1 is
-    # the QR factor whose reflectors dsytrd left below the subdiagonal
-    q1, rest = np.asfortranarray(c[1:, :-1]), z[1:]  # copied once, not per call
+    # the QR factor whose reflectors dsytrd left below the subdiagonal. They
+    # move to the front of c's own Fortran buffer, column j from offset
+    # jn + 1 to j(n - 1), so in increasing j each is read before overwritten
+    flat = c.reshape(-1, order="F")
+    for j in range(n - 1):
+        flat[j * (n - 1):(j + 1) * (n - 1)] = flat[j * n + 1:(j + 1) * n]
+    q1, rest = flat[:(n - 1) ** 2].reshape((n - 1, n - 1), order="F"), z[1:]
     lwork = lapack.dormqr("L", "N", q1, tau, rest, -1)[1][0]
     z[1:] = lapack.dormqr("L", "N", q1, tau, rest, int(lwork))[0]
     return w, z

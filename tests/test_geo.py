@@ -70,3 +70,36 @@ def test_pairwise_geo_matches_direct_loop():
     for i in range(9):
         for j in range(9):
             assert d[i, j] == pytest.approx(haversine(pts[i], pts[j]), abs=1e-12)
+
+
+def _geo_points(case, n, seed):
+    rng = np.random.default_rng(seed)
+    lat = rng.uniform(-math.pi / 2, math.pi / 2, n)
+    if case == "antimeridian":
+        # alternately just west of +pi and just east of -pi, so longitude
+        # differences wrap
+        side = np.where(np.arange(n) % 2, 1.0, -1.0)
+        lon = side * (math.pi - rng.uniform(0.0, 1e-3, n))
+    else:
+        lon = rng.uniform(-math.pi, math.pi, n)
+    return np.stack([lat, lon], axis=1)
+
+
+@pytest.mark.parametrize("case", ["random", "antimeridian", "antipodal"])
+def test_pairwise_geo_is_the_broadcast_haversine_bit_for_bit(case):
+    p = _geo_points(case, 7, 5)
+    q = _geo_points(case, 4, 6)
+    if case == "antipodal":
+        # each q[j] is the antipode of p[j], where the radicand can round past 1
+        q = np.stack([-p[:4, 0], wrap_lon(p[:4, 1] + math.pi)], axis=1)
+    d = pairwise_geo(p, q)
+    assert d.shape == (7, 4)
+    assert d.tobytes() == haversine(p[:, None], q[None]).tobytes()
+    if case == "antipodal":
+        assert np.diag(d) == pytest.approx(math.pi * EARTH_RADIUS_KM, rel=1e-9)
+
+
+@pytest.mark.parametrize("case", ["random", "antimeridian"])
+def test_pairwise_geo_of_one_set_is_its_distances_to_itself(case):
+    p = _geo_points(case, 9, 7)
+    assert pairwise_geo(p).tobytes() == pairwise_geo(p, p).tobytes()
